@@ -52,15 +52,12 @@ impl Default for SkipGramConfig {
 
 /// Trains SGNS embeddings from pre-generated walks. Returns the input
 /// ("center") embedding matrix, the standard word2vec output.
-pub fn train_skipgram(walks: &[Vec<NodeId>], n: usize, cfg: &SkipGramConfig) -> Matrix {
-    train_skipgram_obs(walks, n, cfg, &coane_obs::Obs::disabled())
-}
-
-/// [`train_skipgram`] with telemetry: the SGD pass runs under a `train`
-/// timing scope and records pair/step counters. Telemetry is
-/// observation-only — the embedding is bit-identical for any `obs` state.
+///
+/// The SGD pass runs under a `train` timing scope and records pair/step
+/// counters. Telemetry is observation-only — the embedding is bit-identical
+/// for any `obs` state.
 #[allow(clippy::needless_range_loop)] // indexed form is clearer in this kernel
-pub fn train_skipgram_obs(
+pub fn train_skipgram(
     walks: &[Vec<NodeId>],
     n: usize,
     cfg: &SkipGramConfig,
@@ -139,18 +136,7 @@ impl Embedder for DeepWalk {
 
     fn embed_observed(&self, graph: &AttributedGraph, obs: &coane_obs::Obs) -> Matrix {
         let _scope = obs.scope(self.name());
-        let walker = Walker::new(
-            graph,
-            WalkConfig {
-                walks_per_node: self.config.walks_per_node,
-                walk_length: self.config.walk_length,
-                p: 1.0,
-                q: 1.0,
-                seed: self.config.seed,
-            },
-        );
-        let walks = walker.generate_all_obs(crate::common::worker_threads(), obs);
-        train_skipgram_obs(&walks, graph.num_nodes(), &self.config, obs)
+        walk_and_train(graph, &self.config, 1.0, 1.0, obs)
     }
 }
 
@@ -184,19 +170,38 @@ impl Embedder for Node2Vec {
 
     fn embed_observed(&self, graph: &AttributedGraph, obs: &coane_obs::Obs) -> Matrix {
         let _scope = obs.scope(self.name());
-        let walker = Walker::new(
-            graph,
-            WalkConfig {
-                walks_per_node: self.config.walks_per_node,
-                walk_length: self.config.walk_length,
-                p: self.p,
-                q: self.q,
-                seed: self.config.seed,
-            },
-        );
-        let walks = walker.generate_all_obs(crate::common::worker_threads(), obs);
-        train_skipgram_obs(&walks, graph.num_nodes(), &self.config, obs)
+        walk_and_train(graph, &self.config, self.p, self.q, obs)
     }
+}
+
+/// The pipeline DeepWalk and node2vec share: `(p, q)`-biased walks under a
+/// `walks` timing scope with walk/step counters, then [`train_skipgram`].
+fn walk_and_train(
+    graph: &AttributedGraph,
+    cfg: &SkipGramConfig,
+    p: f32,
+    q: f32,
+    obs: &coane_obs::Obs,
+) -> Matrix {
+    let walker = Walker::new(
+        graph,
+        WalkConfig {
+            walks_per_node: cfg.walks_per_node,
+            walk_length: cfg.walk_length,
+            p,
+            q,
+            seed: cfg.seed,
+        },
+    );
+    let walks = {
+        let _scope = obs.scope("walks");
+        walker.generate_all(crate::common::worker_threads())
+    };
+    if obs.is_enabled() {
+        obs.add("walks/count", walks.len() as u64);
+        obs.add("walks/steps", walks.iter().map(|w| w.len() as u64).sum());
+    }
+    train_skipgram(&walks, graph.num_nodes(), cfg, obs)
 }
 
 #[cfg(test)]
@@ -278,7 +283,7 @@ mod tests {
             WalkConfig { walks_per_node: 1, walk_length: 2, p: 1.0, q: 1.0, seed: 0 },
         );
         let walks = walker.generate_all(1);
-        let emb = train_skipgram(&walks, 5, &cfg);
+        let emb = train_skipgram(&walks, 5, &cfg, &coane_obs::Obs::disabled());
         emb.assert_finite("empty-pair skipgram");
     }
 }

@@ -17,6 +17,7 @@ use rand_chacha::ChaCha8Rng;
 use crate::cache::ContextRowCache;
 use crate::config::CoaneConfig;
 use crate::model::CoaneModel;
+use crate::trainer::observe_contexts;
 
 /// Embeds `nodes` of `graph` with a trained `model`, sampling
 /// `config.walks_per_node` fresh walks per node. The graph may differ from
@@ -73,16 +74,12 @@ pub fn embed_nodes_obs(
         }
     }
     // No subsampling at inference: every context of the target is welcome.
-    let contexts = ContextSet::build_obs(
-        &walks,
-        graph.num_nodes(),
-        &ContextsConfig {
-            context_size: config.context_size,
-            subsample_t: f64::INFINITY,
-            seed: config.seed,
-        },
-        obs,
-    );
+    let ctx_cfg = ContextsConfig {
+        context_size: config.context_size,
+        subsample_t: f64::INFINITY,
+        seed: config.seed,
+    };
+    let contexts = observe_contexts(obs, || ContextSet::build(&walks, graph.num_nodes(), &ctx_cfg));
     // No-grad chunked inference off the context-row cache: each requested
     // node's embedding depends only on its own context rows, so the
     // `infer_batch_size` chunking and the thread count are pure throughput

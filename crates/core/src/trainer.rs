@@ -628,52 +628,55 @@ impl Coane {
             },
             seed: cfg.seed ^ 0x51_7e,
         };
-        let contexts = match cfg.context_source {
-            ContextSource::RandomWalk => {
-                let walker = Walker::new(
-                    graph,
-                    WalkConfig {
-                        walks_per_node: cfg.walks_per_node,
-                        walk_length: cfg.walk_length,
-                        p: 1.0,
-                        q: 1.0,
-                        seed: cfg.seed,
-                    },
-                );
-                if cfg.walk_block_size > 0 {
-                    // Streaming path: walks flow through a bounded channel
-                    // in blocks and are dropped after context extraction —
-                    // the full `r·n` walk set is never resident. Contexts
-                    // are bit-identical to the materialized path
-                    // (tests/streaming.rs).
-                    ContextSet::build_streamed_obs(
-                        &walker,
-                        graph.num_nodes(),
-                        cfg.walk_block_size,
-                        &ctx_cfg,
-                        &self.obs,
-                    )
+        let n = graph.num_nodes();
+        let walker = Walker::new(
+            graph,
+            WalkConfig {
+                walks_per_node: cfg.walks_per_node,
+                walk_length: cfg.walk_length,
+                p: 1.0,
+                q: 1.0,
+                seed: cfg.seed,
+            },
+        );
+        let random_walk = cfg.context_source == ContextSource::RandomWalk;
+        let contexts = if random_walk && cfg.walk_block_size > 0 {
+            // Streaming path: walks flow through a bounded channel in blocks
+            // and are dropped after context extraction — the full `r·n` walk
+            // set is never resident, so walk generation is timed inside the
+            // `contexts` scope. Contexts are bit-identical to the
+            // materialized path (tests/streaming.rs).
+            observe_contexts(&self.obs, || {
+                ContextSet::build_streamed(&walker, n, cfg.walk_block_size, &ctx_cfg)
+            })
+        } else {
+            let walks = {
+                let _scope = self.obs.scope("walks");
+                if random_walk {
+                    walker.generate_all(cfg.threads)
                 } else {
-                    let walks = walker.generate_all_obs(cfg.threads, &self.obs);
-                    ContextSet::build_obs(&walks, graph.num_nodes(), &ctx_cfg, &self.obs)
-                }
-            }
-            ContextSource::FirstHop => {
-                let walks = {
-                    let _scope = self.obs.scope("walks");
                     first_hop_walks(graph)
-                };
-                ContextSet::build_obs(&walks, graph.num_nodes(), &ctx_cfg, &self.obs)
-            }
+                }
+            };
+            observe_contexts(&self.obs, || ContextSet::build(&walks, n, &ctx_cfg))
         };
+        if random_walk {
+            self.obs.add("walks/count", walker.num_walks() as u64);
+            self.obs.add("walks/steps", contexts.num_positions() as u64);
+        }
         // Shared with the cache's rebuild rung (rung 3) without a second
         // copy, and with the trainer's own uses via deref.
         let contexts = std::sync::Arc::new(contexts);
-        let co = if cfg.coocc_block_size > 0 {
-            CoMatrices::build_blocked_obs(&contexts, graph, cfg.coocc_block_size, &self.obs)
-        } else {
-            CoMatrices::build_obs(&contexts, graph, &self.obs)
+        let co = {
+            let _scope = self.obs.scope("cooccurrence");
+            if cfg.coocc_block_size > 0 {
+                CoMatrices::build_blocked(&contexts, graph, cfg.coocc_block_size)
+            } else {
+                CoMatrices::build(&contexts, graph)
+            }
         };
+        self.obs.add("cooccurrence/nnz_d", co.d.nnz() as u64);
+        self.obs.add("cooccurrence/nnz_d1", co.d1.nnz() as u64);
         let k_p = contexts.max_count().max(1);
         let pairs = {
             let _scope = self.obs.scope("positive_pairs");
@@ -706,6 +709,21 @@ impl Coane {
         }
         Prepared { contexts, co, pairs, sampler, cache }
     }
+}
+
+/// Extracts contexts under a `contexts` timing scope and records the
+/// `contexts/kept` and `contexts/subsample_dropped` counters from the
+/// result — the one place training and inductive inference observe the
+/// context stage.
+pub(crate) fn observe_contexts(obs: &Obs, build: impl FnOnce() -> ContextSet) -> ContextSet {
+    let contexts = {
+        let _scope = obs.scope("contexts");
+        build()
+    };
+    let kept = contexts.num_contexts();
+    obs.add("contexts/kept", kept as u64);
+    obs.add("contexts/subsample_dropped", (contexts.num_positions() - kept) as u64);
+    contexts
 }
 
 #[cfg(test)]

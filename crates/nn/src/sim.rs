@@ -119,8 +119,9 @@ impl Scorer {
 ///
 /// `queries` is `m×dim` row-major, `store` is `n×dim` row-major. Dot and
 /// cosine route through [`matmul_nt_slices`] (one matmul instead of `m·n`
-/// sequential dot chains); Euclidean stays per-pair because the expansion
-/// `‖a‖² − 2⟨a,b⟩ + ‖b‖²` would reassociate differently per batch. Every
+/// sequential dot chains); Euclidean stays a direct per-pair `Σ(a−b)²`
+/// because the expansion `‖a‖² − 2⟨a,b⟩ + ‖b‖²` changes the score bits and
+/// cancels for near-duplicate rows. Every
 /// element depends only on its own (query, store) row pair, so the block is
 /// bit-identical however requests are batched and at any thread count.
 ///

@@ -589,9 +589,12 @@ impl ExactIndex {
     /// f16/int8 store, where the engine's rerank stage restores exact f32
     /// ordering). Per-query hits sorted by score descending, ties by row
     /// index. On the f32 matmul route, dot and cosine take the fast path
-    /// and Euclidean falls back to [`knn_exact_batch`] (the L2 expansion
-    /// `‖a‖² − 2⟨a,b⟩ + ‖b‖²` would reassociate per batch); the quantized
-    /// scan handles all three scorers in one fused kernel.
+    /// and Euclidean falls back to [`knn_exact_batch`]. The L2 expansion
+    /// `‖q‖² − 2⟨q,x⟩ + ‖x‖²` through the matmul would give different
+    /// score bits from `knn_exact_batch`'s direct `Σ(q−x)²` and cancels
+    /// for near-duplicate rows, so folding Euclidean in here needs a
+    /// recall-checked re-bless. The quantized scan handles all three
+    /// scorers in one fused kernel.
     ///
     /// # Panics
     /// Panics if a query's dimension disagrees with the store's.

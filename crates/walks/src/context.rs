@@ -13,7 +13,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::walker::{node_frequencies, Walk, Walker};
+use crate::walker::{Walk, Walker};
 
 /// Sentinel for an empty (padded) context slot.
 pub const PAD: NodeId = NodeId::MAX;
@@ -46,6 +46,8 @@ impl Default for ContextsConfig {
 pub struct ContextSet {
     c: usize,
     n: usize,
+    /// Walk positions the contexts were extracted from (kept + dropped).
+    positions: usize,
     /// Context-range offsets per node, length `n + 1` (units: contexts).
     offsets: Vec<usize>,
     /// Flattened windows, `num_contexts() * c` slots, PAD-padded.
@@ -58,173 +60,84 @@ impl ContextSet {
     /// # Panics
     /// Panics if `context_size` is even or zero.
     pub fn build(walks: &[Walk], n: usize, cfg: &ContextsConfig) -> Self {
-        Self::build_obs(walks, n, cfg, &coane_obs::Obs::disabled())
+        Self::build_replayed(n, cfg, |visit| walks.iter().for_each(|w| visit(w)))
     }
 
-    /// [`ContextSet::build`] with phase telemetry: extraction runs under a
-    /// `contexts` timing scope and records kept/dropped context counters.
-    /// Telemetry is observation-only — the result is bit-identical for any
-    /// `obs` state.
+    /// Streaming [`ContextSet::build`]: extracts the same contexts from
+    /// `walker`'s walk sequence without ever materializing all `r·n` walks.
+    /// Every pass regenerates the walks through [`Walker::stream_blocks`]
+    /// (per-walk seeding makes regeneration exact), so peak walk storage is
+    /// a handful of `block_size`-walk blocks, and the result is
+    /// bit-identical to `build(&walker.generate_all(_), ..)` for any block
+    /// size and thread count.
     ///
     /// # Panics
-    /// Panics if `context_size` is even or zero.
-    pub fn build_obs(walks: &[Walk], n: usize, cfg: &ContextsConfig, obs: &coane_obs::Obs) -> Self {
-        let _scope = obs.scope("contexts");
-        assert!(cfg.context_size >= 1 && cfg.context_size % 2 == 1, "context size must be odd");
-        let c = cfg.context_size;
-        let half = c / 2;
-        let freq = node_frequencies(walks, n);
-        let total: u64 = freq.iter().sum();
-        // Discard probability per node: max(0, 1 − √(t / f(v))).
-        let p_discard: Vec<f64> = freq
-            .iter()
-            .map(|&f| {
-                if f == 0 || total == 0 {
-                    return 0.0;
-                }
-                let rel = f as f64 / total as f64;
-                (1.0 - (cfg.subsample_t / rel).sqrt()).max(0.0)
-            })
-            .collect();
-
-        let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        // First pass: count surviving contexts per center. We must record the
-        // survival decisions to replay them; store (walk idx, pos) instead.
-        let mut kept: Vec<(u32, u32)> = Vec::new();
-        let mut counts = vec![0usize; n];
-        for (wi, walk) in walks.iter().enumerate() {
-            for (pos, &center) in walk.iter().enumerate() {
-                let keep = pos == 0 || !rng.gen_bool(p_discard[center as usize]);
-                if keep {
-                    kept.push((wi as u32, pos as u32));
-                    counts[center as usize] += 1;
-                }
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        for &cnt in &counts {
-            offsets.push(offsets.last().unwrap() + cnt);
-        }
-        let total_ctx = *offsets.last().unwrap();
-        let mut slots = vec![PAD; total_ctx * c];
-        let mut cursor = offsets[..n].to_vec();
-        for &(wi, pos) in &kept {
-            let walk = &walks[wi as usize];
-            let pos = pos as usize;
-            let center = walk[pos];
-            let row = cursor[center as usize];
-            cursor[center as usize] += 1;
-            let dst = &mut slots[row * c..(row + 1) * c];
-            for (k, slot) in dst.iter_mut().enumerate() {
-                let rel = pos as isize + k as isize - half as isize;
-                if rel >= 0 && (rel as usize) < walk.len() {
-                    *slot = walk[rel as usize];
-                }
-            }
-        }
-        if obs.is_enabled() {
-            let positions: u64 = walks.iter().map(|w| w.len() as u64).sum();
-            obs.add("contexts/kept", total_ctx as u64);
-            obs.add("contexts/subsample_dropped", positions - total_ctx as u64);
-        }
-        Self { c, n, offsets, slots }
-    }
-
-    /// Streaming [`ContextSet::build`]: extracts the same contexts without
-    /// ever materializing all `r·n` walks.
-    ///
-    /// See [`ContextSet::build_streamed_obs`] for the contract.
+    /// Panics if `context_size` is even or zero, or `block_size` is zero.
     pub fn build_streamed(
         walker: &Walker,
         n: usize,
         block_size: usize,
         cfg: &ContextsConfig,
     ) -> Self {
-        Self::build_streamed_obs(walker, n, block_size, cfg, &coane_obs::Obs::disabled())
-    }
-
-    /// Streaming context extraction. Bit-identical to running
-    /// [`ContextSet::build_obs`] on `walker.generate_all(_)` — same
-    /// `offsets`, same `slots` — but peak walk storage is a handful of
-    /// `block_size`-walk blocks instead of the whole corpus.
-    ///
-    /// The builder makes three passes over the walk stream (walks are
-    /// regenerated per pass; per-walk seeding makes regeneration exact):
-    ///
-    /// 1. **Frequencies** — accumulate `f(v)` over all walk positions, from
-    ///    which the per-node discard probabilities derive exactly as in the
-    ///    materialized builder.
-    /// 2. **Subsampling replay** — consume the sequential subsampling RNG in
-    ///    walk-major position order (skipping position 0, which is always
-    ///    kept — the identical consumption pattern), recording one keep-bit
-    ///    per position and per-center survivor counts.
-    /// 3. **Slot fill** — with per-node offsets now known, re-walk the
-    ///    stream and copy each surviving window into its final row.
-    ///
-    /// Because the subsampling RNG lives on the consuming thread and blocks
-    /// arrive in order through the bounded prefetch channel, the result is
-    /// independent of thread count. Also records the `walks/count` and
-    /// `walks/steps` counters that [`Walker::generate_all_obs`] would have
-    /// emitted, so telemetry stays comparable across the two paths.
-    ///
-    /// # Panics
-    /// Panics if `context_size` is even or zero, or `block_size` is zero.
-    pub fn build_streamed_obs(
-        walker: &Walker,
-        n: usize,
-        block_size: usize,
-        cfg: &ContextsConfig,
-        obs: &coane_obs::Obs,
-    ) -> Self {
-        let _scope = obs.scope("contexts");
-        assert!(cfg.context_size >= 1 && cfg.context_size % 2 == 1, "context size must be odd");
-        let c = cfg.context_size;
-        let half = c / 2;
         // How far ahead the producer may run (in blocks). Purely a
         // throughput knob: consumption order is block order regardless.
         const DEPTH: usize = 2;
+        Self::build_replayed(n, cfg, |visit| {
+            walker.stream_blocks(block_size, DEPTH, |_, block| block.iter().for_each(|w| visit(w)))
+        })
+    }
+
+    /// The context builder behind both entry points. `replay(visit)` must
+    /// call `visit` on every walk of the corpus, in corpus order, on each
+    /// of its three calls:
+    ///
+    /// 1. **Frequencies** — `f(v)` over all walk positions gives every
+    ///    node's discard probability `max(0, 1 − √(t / f(v)))`.
+    /// 2. **Keep bits** — the sequential subsampling RNG is consumed in
+    ///    walk-major position order (position 0 is always kept and draws
+    ///    nothing), recording one keep bit per position and per-center
+    ///    survivor counts.
+    /// 3. **Slot fill** — with per-node offsets now known, every kept
+    ///    window is copied into its center's next row.
+    ///
+    /// The RNG lives on the calling thread, so the result depends only on
+    /// the walk sequence, never on how it is produced.
+    fn build_replayed(
+        n: usize,
+        cfg: &ContextsConfig,
+        mut replay: impl FnMut(&mut dyn FnMut(&[NodeId])),
+    ) -> Self {
+        assert!(cfg.context_size >= 1 && cfg.context_size % 2 == 1, "context size must be odd");
+        let c = cfg.context_size;
+        let half = c / 2;
 
         // Pass 1: global node frequencies.
         let mut freq = vec![0u64; n];
-        let mut walk_count = 0u64;
-        walker.stream_blocks(block_size, DEPTH, |_, block| {
-            walk_count += block.len() as u64;
-            for walk in &block {
-                for &v in walk {
-                    freq[v as usize] += 1;
-                }
-            }
-        });
-        let total: u64 = freq.iter().sum();
+        replay(&mut |walk| walk.iter().for_each(|&v| freq[v as usize] += 1));
+        let positions = freq.iter().sum::<u64>() as usize;
         let p_discard: Vec<f64> = freq
             .iter()
             .map(|&f| {
-                if f == 0 || total == 0 {
+                if f == 0 {
                     return 0.0;
                 }
-                let rel = f as f64 / total as f64;
+                let rel = f as f64 / positions as f64;
                 (1.0 - (cfg.subsample_t / rel).sqrt()).max(0.0)
             })
             .collect();
 
-        // Pass 2: replay the subsampling decisions (same RNG, same
-        // consumption order as the materialized builder), keeping one bit
-        // per walk position plus per-center survivor counts.
+        // Pass 2: subsampling decisions, one bit per walk position.
         let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-        let mut keep_bits: Vec<u64> = vec![0u64; (total as usize).div_ceil(64)];
+        let mut keep_bits = vec![0u64; positions.div_ceil(64)];
         let mut counts = vec![0usize; n];
         let mut bit = 0usize;
-        walker.stream_blocks(block_size, DEPTH, |_, block| {
-            for walk in &block {
-                for (pos, &center) in walk.iter().enumerate() {
-                    let keep = pos == 0 || !rng.gen_bool(p_discard[center as usize]);
-                    if keep {
-                        keep_bits[bit / 64] |= 1u64 << (bit % 64);
-                        counts[center as usize] += 1;
-                    }
-                    bit += 1;
+        replay(&mut |walk| {
+            for (pos, &center) in walk.iter().enumerate() {
+                if pos == 0 || !rng.gen_bool(p_discard[center as usize]) {
+                    keep_bits[bit / 64] |= 1u64 << (bit % 64);
+                    counts[center as usize] += 1;
                 }
+                bit += 1;
             }
         });
 
@@ -235,39 +148,29 @@ impl ContextSet {
         }
         let total_ctx = *offsets.last().unwrap();
 
-        // Pass 3: fill slots for surviving positions, in the same
-        // walk-major order the materialized builder replays `kept`.
+        // Pass 3: fill the slots of every kept position.
         let mut slots = vec![PAD; total_ctx * c];
         let mut cursor = offsets[..n].to_vec();
         let mut bit = 0usize;
-        walker.stream_blocks(block_size, DEPTH, |_, block| {
-            for walk in &block {
-                for (pos, &center) in walk.iter().enumerate() {
-                    let keep = keep_bits[bit / 64] >> (bit % 64) & 1 == 1;
-                    bit += 1;
-                    if !keep {
-                        continue;
-                    }
-                    let row = cursor[center as usize];
-                    cursor[center as usize] += 1;
-                    let dst = &mut slots[row * c..(row + 1) * c];
-                    for (k, slot) in dst.iter_mut().enumerate() {
-                        let rel = pos as isize + k as isize - half as isize;
-                        if rel >= 0 && (rel as usize) < walk.len() {
-                            *slot = walk[rel as usize];
-                        }
+        replay(&mut |walk| {
+            for (pos, &center) in walk.iter().enumerate() {
+                let keep = keep_bits[bit / 64] >> (bit % 64) & 1 == 1;
+                bit += 1;
+                if !keep {
+                    continue;
+                }
+                let row = cursor[center as usize];
+                cursor[center as usize] += 1;
+                let dst = &mut slots[row * c..(row + 1) * c];
+                for (k, slot) in dst.iter_mut().enumerate() {
+                    let rel = pos as isize + k as isize - half as isize;
+                    if rel >= 0 && (rel as usize) < walk.len() {
+                        *slot = walk[rel as usize];
                     }
                 }
             }
         });
-
-        if obs.is_enabled() {
-            obs.add("walks/count", walk_count);
-            obs.add("walks/steps", total);
-            obs.add("contexts/kept", total_ctx as u64);
-            obs.add("contexts/subsample_dropped", total - total_ctx as u64);
-        }
-        Self { c, n, offsets, slots }
+        Self { c, n, positions, offsets, slots }
     }
 
     /// Window size `c`.
@@ -283,6 +186,12 @@ impl ContextSet {
     /// Total number of contexts across all nodes.
     pub fn num_contexts(&self) -> usize {
         self.offsets[self.n]
+    }
+
+    /// Number of walk positions the contexts were extracted from: the kept
+    /// contexts plus the positions subsampling dropped.
+    pub fn num_positions(&self) -> usize {
+        self.positions
     }
 
     /// `|context(v)|` — the number of contexts centered at `v`.

@@ -21,27 +21,6 @@ pub struct SparseCounts {
 }
 
 impl SparseCounts {
-    fn from_sorted_pairs(n: usize, pairs: &[(u32, u32)]) -> Self {
-        let mut indptr = vec![0usize; n + 1];
-        let mut indices = Vec::new();
-        let mut values: Vec<f32> = Vec::new();
-        let mut k = 0usize;
-        for i in 0..n as u32 {
-            while k < pairs.len() && pairs[k].0 == i {
-                let j = pairs[k].1;
-                let mut cnt = 0u32;
-                while k < pairs.len() && pairs[k] == (i, j) {
-                    cnt += 1;
-                    k += 1;
-                }
-                indices.push(j);
-                values.push(cnt as f32);
-            }
-            indptr[i as usize + 1] = indices.len();
-        }
-        Self { n, indptr, indices, values }
-    }
-
     /// Number of rows.
     pub fn num_rows(&self) -> usize {
         self.n
@@ -84,42 +63,20 @@ pub struct CoMatrices {
 impl CoMatrices {
     /// Builds all three matrices from the extracted contexts. Diagonal
     /// entries (a node co-occurring with itself) are recorded in `D` but the
-    /// likelihood machinery skips them via [`PositivePairs`].
+    /// likelihood machinery skips them via [`PositivePairs`]. This is
+    /// [`CoMatrices::build_blocked`] with a single block of all nodes.
     pub fn build(contexts: &ContextSet, graph: &AttributedGraph) -> Self {
-        Self::build_obs(contexts, graph, &coane_obs::Obs::disabled())
-    }
-
-    /// [`CoMatrices::build`] with phase telemetry: construction runs under a
-    /// `cooccurrence` timing scope and records the nnz of `D` and `D¹`.
-    /// Telemetry is observation-only — the matrices are bit-identical for
-    /// any `obs` state.
-    pub fn build_obs(contexts: &ContextSet, graph: &AttributedGraph, obs: &coane_obs::Obs) -> Self {
-        let _scope = obs.scope("cooccurrence");
-        let n = contexts.num_nodes();
-        assert_eq!(n, graph.num_nodes(), "contexts/graph node count mismatch");
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        for v in 0..n as NodeId {
-            for w in contexts.contexts_of(v) {
-                for &u in w {
-                    if u != PAD && u != v {
-                        pairs.push((v, u));
-                    }
-                }
-            }
-        }
-        pairs.sort_unstable();
-        let d = SparseCounts::from_sorted_pairs(n, &pairs);
-        Self::finish(d, graph, obs)
+        Self::build_blocked(contexts, graph, contexts.num_nodes().max(1))
     }
 
     /// [`CoMatrices::build`] with blocked accumulation: `D` is assembled
-    /// over fixed node ranges `[0, B), [B, 2B), …` merged in ascending block
-    /// order. Each row of `D` depends only on its own center's contexts, and
-    /// pairs sort identically whether the sort covers one block or all of
-    /// them, so the result is **bit-identical** to the monolithic builder
-    /// for every `block_nodes ≥ 1` (locked by `tests/streaming.rs`). What
-    /// changes is peak memory: the transient pair buffer shrinks from one
-    /// entry per context slot *globally* to one per slot *per block*.
+    /// over fixed node ranges `[0, B), [B, 2B), …` in ascending order. Each
+    /// range's `(row, col)` pairs are sorted and run-length counted into
+    /// that range's `f32` CSR rows. A row of `D` depends only on its own
+    /// center's contexts, so the result is **bit-identical** for every
+    /// `block_nodes ≥ 1` (locked by `tests/streaming.rs`). What changes is
+    /// peak memory: the transient pair buffer holds one entry per context
+    /// slot of one block rather than of the whole graph.
     ///
     /// # Panics
     /// Panics if `block_nodes` is zero.
@@ -128,18 +85,6 @@ impl CoMatrices {
         graph: &AttributedGraph,
         block_nodes: usize,
     ) -> Self {
-        Self::build_blocked_obs(contexts, graph, block_nodes, &coane_obs::Obs::disabled())
-    }
-
-    /// [`CoMatrices::build_blocked`] with phase telemetry (same counters as
-    /// [`CoMatrices::build_obs`]).
-    pub fn build_blocked_obs(
-        contexts: &ContextSet,
-        graph: &AttributedGraph,
-        block_nodes: usize,
-        obs: &coane_obs::Obs,
-    ) -> Self {
-        let _scope = obs.scope("cooccurrence");
         assert!(block_nodes >= 1, "block_nodes must be positive");
         let n = contexts.num_nodes();
         assert_eq!(n, graph.num_nodes(), "contexts/graph node count mismatch");
@@ -161,8 +106,7 @@ impl CoMatrices {
                 }
             }
             pairs.sort_unstable();
-            // Append this block's rows: identical run-length counting to
-            // `from_sorted_pairs`, offset into the global CSR.
+            // Append this block's rows, offset into the global CSR.
             let mut k = 0usize;
             for i in start as u32..end as u32 {
                 while k < pairs.len() && pairs[k].0 == i {
@@ -180,12 +124,11 @@ impl CoMatrices {
             start = end;
         }
         let d = SparseCounts { n, indptr, indices, values };
-        Self::finish(d, graph, obs)
+        Self::finish(d, graph)
     }
 
-    /// Derives `D¹` and `D̃` from an assembled `D` — shared by the
-    /// monolithic and blocked builders so the two paths cannot drift.
-    fn finish(d: SparseCounts, graph: &AttributedGraph, obs: &coane_obs::Obs) -> Self {
+    /// Derives `D¹` and `D̃` from the assembled `D`.
+    fn finish(d: SparseCounts, graph: &AttributedGraph) -> Self {
         let n = d.num_rows();
         // D¹: restrict to real edges.
         let mut d1_indptr = vec![0usize; n + 1];
@@ -221,10 +164,6 @@ impl CoMatrices {
             indices: d.indices.clone(),
             values: dt_values,
         };
-        if obs.is_enabled() {
-            obs.add("cooccurrence/nnz_d", d.nnz() as u64);
-            obs.add("cooccurrence/nnz_d1", d1.nnz() as u64);
-        }
         Self { d, d1, d_tilde }
     }
 }

@@ -66,28 +66,13 @@ impl<'g> Walker<'g> {
     /// identical for any thread count because each walk derives its own RNG
     /// from `(seed, repeat, start)`.
     pub fn generate_all(&self, threads: usize) -> Vec<Walk> {
-        self.generate_all_obs(threads, &coane_obs::Obs::disabled())
-    }
-
-    /// [`Walker::generate_all`] with phase telemetry: the generation runs
-    /// under a `walks` timing scope and records walk/step counters.
-    /// Telemetry is observation-only — the walks are bit-identical for any
-    /// `obs` state.
-    pub fn generate_all_obs(&self, threads: usize, obs: &coane_obs::Obs) -> Vec<Walk> {
-        let _scope = obs.scope("walks");
         let n = self.graph.num_nodes();
-        let r = self.config.walks_per_node;
-        let total = n * r;
-        let mut walks: Vec<Walk> = vec![Vec::new(); total];
+        let mut walks: Vec<Walk> = vec![Vec::new(); self.num_walks()];
         coane_nn::pool::parallel_chunks_with(&mut walks, 64, threads, |start, slab| {
             for (off, w) in slab.iter_mut().enumerate() {
                 *w = self.walk_indexed(start + off, n);
             }
         });
-        if obs.is_enabled() {
-            obs.add("walks/count", walks.len() as u64);
-            obs.add("walks/steps", walks.iter().map(|w| w.len() as u64).sum());
-        }
         walks
     }
 

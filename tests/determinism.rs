@@ -180,6 +180,79 @@ fn inference_is_bit_identical_with_telemetry_on_or_off() {
     let observed = coane::core::embed_nodes_obs(&model, &config, &graph, &nodes, &obs);
     assert_eq!(plain.as_slice(), observed.as_slice(), "telemetry perturbed inference");
     assert_eq!(obs.counter("infer/nodes"), nodes.len() as u64);
+    assert!(obs.scope_stat("infer/contexts").is_some(), "no nested context scope");
+}
+
+/// Every pre-processing path reports the same stage scopes, and its
+/// counters agree with the stage outputs: the walk counters with the walk
+/// corpus, the context counters with the walk steps, and the
+/// co-occurrence counters with a directly built `CoMatrices`.
+#[test]
+fn pipeline_telemetry_matches_stage_outputs_on_every_path() {
+    use coane::core::batch::first_hop_walks;
+    use coane::walks::{CoMatrices, ContextSet, ContextsConfig};
+
+    let graph = test_graph(7);
+    let base = CoaneConfig {
+        embed_dim: 16,
+        epochs: 1,
+        context_size: 3,
+        walks_per_node: 2,
+        walk_length: 20,
+        batch_size: 40,
+        decoder_hidden: (32, 32),
+        subsample_t: 1e-3,
+        threads: 2,
+        ..Default::default()
+    };
+    let streamed = CoaneConfig { walk_block_size: 64, coocc_block_size: 16, ..base.clone() };
+    let first_hop = CoaneConfig { context_source: ContextSource::FirstHop, ..base.clone() };
+    let n = graph.num_nodes();
+    let walks = Walker::new(
+        &graph,
+        WalkConfig {
+            walks_per_node: base.walks_per_node,
+            walk_length: base.walk_length,
+            p: 1.0,
+            q: 1.0,
+            seed: base.seed,
+        },
+    )
+    .generate_all(1);
+    let steps: u64 = walks.iter().map(|w| w.len() as u64).sum();
+
+    let paths = [("materialized", &base), ("streamed", &streamed), ("first-hop", &first_hop)];
+    for (name, cfg) in paths {
+        let obs = Obs::enabled();
+        Coane::try_new(cfg.clone()).unwrap().with_observer(obs.clone()).try_fit(&graph).unwrap();
+        for scope in ["fit/prepare/contexts", "fit/prepare/cooccurrence"] {
+            assert!(obs.scope_stat(scope).is_some(), "{name}: no {scope} scope");
+        }
+        // Streamed walks are generated inside the context scope.
+        let walk_scope = obs.scope_stat("fit/prepare/walks").is_some();
+        assert_eq!(walk_scope, name != "streamed", "{name}: walks scope presence");
+
+        let is_first_hop = name == "first-hop";
+        let corpus = if is_first_hop { first_hop_walks(&graph) } else { walks.clone() };
+        let ctx_cfg = ContextsConfig {
+            context_size: cfg.context_size,
+            subsample_t: if is_first_hop { f64::INFINITY } else { cfg.subsample_t },
+            seed: cfg.seed ^ 0x51_7e,
+        };
+        let contexts = ContextSet::build(&corpus, n, &ctx_cfg);
+        let kept = obs.counter("contexts/kept");
+        assert_eq!(kept, contexts.num_contexts() as u64, "{name}: contexts/kept");
+        if !is_first_hop {
+            assert_eq!(obs.counter("walks/count"), (cfg.walks_per_node * n) as u64, "{name}");
+            assert_eq!(obs.counter("walks/steps"), steps, "{name}: walks/steps");
+            let dropped = obs.counter("contexts/subsample_dropped");
+            assert!(dropped > 0, "{name}: subsampling should drop some positions");
+            assert_eq!(kept + dropped, steps, "{name}: kept + dropped != steps");
+        }
+        let co = CoMatrices::build(&contexts, &graph);
+        assert_eq!(obs.counter("cooccurrence/nnz_d"), co.d.nnz() as u64, "{name}: nnz_d");
+        assert_eq!(obs.counter("cooccurrence/nnz_d1"), co.d1.nnz() as u64, "{name}: nnz_d1");
+    }
 }
 
 #[test]

@@ -25,6 +25,8 @@ const GOLDEN_WALK_HASH: u64 = 0x1474c38ea44fa748;
 
 const GOLDEN_NUM_CONTEXTS: usize = 3200;
 const GOLDEN_CONTEXT_HASH: u64 = 0x68b202c539e03af1;
+const GOLDEN_SUBSAMPLED_NUM_CONTEXTS: usize = 1394;
+const GOLDEN_SUBSAMPLED_CONTEXT_HASH: u64 = 0x8a83ec393ba07dd1;
 
 const GOLDEN_D_NNZ: usize = 310;
 const GOLDEN_D_HASH: u64 = 0x5ee3a8793cd437b8;
@@ -77,6 +79,12 @@ fn ctx_cfg() -> ContextsConfig {
     ContextsConfig { context_size: 5, subsample_t: f64::INFINITY, seed: 7 }
 }
 
+fn subsampled_ctx_cfg() -> ContextsConfig {
+    // At t = 5e-3 an average fixture node (f ≈ 1/40) is dropped about half
+    // the time, so this snapshot pins the subsampling keep/drop replay.
+    ContextsConfig { subsample_t: 5e-3, ..ctx_cfg() }
+}
+
 fn blessed(name: &str, actual: u64, expected: u64) {
     if std::env::var("GOLDEN_PRINT").is_ok() {
         println!("{name} = {actual:#018x}");
@@ -118,14 +126,33 @@ fn padded_contexts_match_committed_snapshot() {
     let padded = (0..graph.num_nodes() as u32).any(|v| contexts.slots_of(v).contains(&PAD));
     assert!(padded, "expected PAD slots at walk boundaries");
 
+    blessed("GOLDEN_CONTEXT_HASH", hash_contexts(&contexts), GOLDEN_CONTEXT_HASH);
+
+    let subsampled = ContextSet::build(&walks, graph.num_nodes(), &subsampled_ctx_cfg());
+    let kept = subsampled.num_contexts();
+    if std::env::var("GOLDEN_PRINT").is_ok() {
+        println!("GOLDEN_SUBSAMPLED_NUM_CONTEXTS = {kept}");
+    } else {
+        assert_eq!(kept, GOLDEN_SUBSAMPLED_NUM_CONTEXTS, "subsampled context count drifted");
+    }
+    assert!(kept > GOLDEN_WALK_COUNT && kept < GOLDEN_NUM_CONTEXTS, "want some positions dropped");
+    blessed(
+        "GOLDEN_SUBSAMPLED_CONTEXT_HASH",
+        hash_contexts(&subsampled),
+        GOLDEN_SUBSAMPLED_CONTEXT_HASH,
+    );
+}
+
+/// FNV-1a over every node's context count and padded slots, in node order.
+fn hash_contexts(contexts: &ContextSet) -> u64 {
     let mut h = Fnv::new();
-    for v in 0..graph.num_nodes() as u32 {
+    for v in 0..contexts.num_nodes() as u32 {
         h.u32(contexts.count(v) as u32);
         for &slot in contexts.slots_of(v) {
             h.u32(slot);
         }
     }
-    blessed("GOLDEN_CONTEXT_HASH", h.0, GOLDEN_CONTEXT_HASH);
+    h.0
 }
 
 #[test]
@@ -261,14 +288,7 @@ fn scale_graph_cooccurrence_matches_committed_snapshot() {
     let walks = Walker::new(&graph, scale_walk_cfg()).generate_all(1);
     let contexts = ContextSet::build(&walks, graph.num_nodes(), &scale_ctx_cfg());
     assert_eq!(contexts.num_contexts(), GOLDEN_SCALE_NUM_CONTEXTS);
-    let mut h = Fnv::new();
-    for v in 0..graph.num_nodes() as u32 {
-        h.u32(contexts.count(v) as u32);
-        for &slot in contexts.slots_of(v) {
-            h.u32(slot);
-        }
-    }
-    blessed("GOLDEN_SCALE_CONTEXT_HASH", h.0, GOLDEN_SCALE_CONTEXT_HASH);
+    blessed("GOLDEN_SCALE_CONTEXT_HASH", hash_contexts(&contexts), GOLDEN_SCALE_CONTEXT_HASH);
 
     let co = CoMatrices::build(&contexts, &graph);
     if std::env::var("GOLDEN_PRINT").is_ok() {
