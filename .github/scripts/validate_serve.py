@@ -21,9 +21,9 @@ and the server must have recorded the shed decisions it made.
 concurrency sweep with strictly increasing connection counts, finite positive
 throughput/latency, and a batched speedup >= 2x over the per-request baseline
 that is arithmetically consistent with the recorded points) and the
-per-precision quantization sweep: exactly f32/f16/int8 points at >= 100k
-nodes, every recall@k >= 0.95, scan footprints shrinking f32 > f16 > int8,
-and an int8-over-f32 brute-force speedup >= 1.3x that follows from the
+per-precision quantization sweep: exactly f32/int8 points at >= 100k nodes,
+every recall@k >= 0.95, a scan footprint shrinking f32 > int8, and an
+int8-over-f32 brute-force speedup >= 1.3x that follows from the
 recorded throughputs.
 
 --mutations expects the artifacts of the CI mutation soak: acks.jsonl (one
@@ -145,7 +145,7 @@ def validate_precisions(prec) -> None:
     assert prec["rerank_factor"] >= 1, f"degenerate rerank factor: {prec}"
     points = prec["points"]
     names = [p["precision"] for p in points]
-    assert names == ["f32", "f16", "int8"], f"precision points are {names}"
+    assert names == ["f32", "int8"], f"precision points are {names}"
     for p in points:
         for field in ("hnsw_qps", "exact_qps", "build_ms"):
             assert p[field] > 0, f"{p['precision']}: non-positive {field}: {p[field]}"
@@ -153,9 +153,10 @@ def validate_precisions(prec) -> None:
             f"{p['precision']}: recall {p['recall_at_k']:.4f} below {PRECISION_RECALL_FLOOR}"
         )
         assert p["store_bytes"] > 0 and p["file_bytes"] > 0, f"{p['precision']}: zero byte counts"
-    f32, f16, int8 = points
-    assert f32["store_bytes"] > f16["store_bytes"] > int8["store_bytes"], (
-        "scan footprints must shrink f32 > f16 > int8: "
+    by_name = {p["precision"]: p for p in points}
+    f32, int8 = by_name["f32"], by_name["int8"]
+    assert f32["store_bytes"] > int8["store_bytes"], (
+        "scan footprints must shrink f32 > int8: "
         + str([p["store_bytes"] for p in points])
     )
     speedup = prec["int8_speedup"]
@@ -165,9 +166,6 @@ def validate_precisions(prec) -> None:
     recomputed = int8["exact_qps"] / f32["exact_qps"]
     assert abs(recomputed - speedup) <= 0.1 * speedup, (
         f"int8_speedup {speedup:.2f} inconsistent with points ({recomputed:.2f})"
-    )
-    assert prec["rerank_sidecar_us"] > 0 and prec["rerank_dequant_us"] > 0, (
-        "rerank cost comparison is non-positive"
     )
     print(
         f"  precisions OK: int8 {speedup:.2f}x f32 at {prec['nodes']} nodes, "

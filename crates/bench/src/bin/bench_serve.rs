@@ -30,7 +30,7 @@
 //! ## Precision sweep
 //!
 //! The `precisions` section quantifies the quantized serving path on a
-//! dedicated 100k-node store: for each payload precision (f32, f16, int8)
+//! dedicated 100k-node store: for each payload precision (f32, int8)
 //! it builds the HNSW index over the quantized scores and measures engine
 //! throughput on the graph path and the fused brute-force path, recall@k
 //! of the reranked answers against the exact-f32 ground truth, and the
@@ -38,10 +38,7 @@
 //! throughput over f32 is gated ≥ 1.3× (the scan is bandwidth-bound, so
 //! quartering the bytes must show up as throughput), and every precision's
 //! recall is held to the same ≥ 0.95 floor as the f32 index — quantization
-//! is not allowed to buy speed with quality. A closing micro-comparison
-//! times the rerank stage's candidate scoring from the exact-f32 sidecar
-//! vs dequantizing int8 codes on the fly, backing the sidecar design
-//! choice recorded in DESIGN.md.
+//! is not allowed to buy speed with quality.
 //!
 //! Output discipline: progress goes to stderr; stdout carries exactly one
 //! JSON document (the report in full mode, the validation verdict in
@@ -52,7 +49,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use coane_nn::{pool, qkernels, Scorer};
+use coane_nn::{pool, Scorer};
 use coane_serve::{
     http_request, knn_exact, EmbeddingStore, EngineLimits, HnswConfig, HnswIndex, HttpClient,
     HttpServer, KnnParams, KnnTarget, Precision, QueryEngine, ServerConfig,
@@ -140,7 +137,7 @@ struct ConcurrencyReport {
 /// One precision's serving measurements on the dedicated sweep store.
 #[derive(Serialize, Deserialize)]
 struct PrecisionPoint {
-    /// `"f32"`, `"f16"` or `"int8"`.
+    /// `"f32"` or `"int8"`.
     precision: String,
     /// HNSW build wall-clock over the quantized store, milliseconds.
     build_ms: f64,
@@ -158,9 +155,8 @@ struct PrecisionPoint {
     file_bytes: usize,
 }
 
-/// The quantization story: per-precision throughput/recall/footprint, the
-/// int8-over-f32 brute-force speedup, and the sidecar-vs-dequant rerank
-/// cost comparison backing the sidecar design choice.
+/// The quantization story: per-precision throughput/recall/footprint and
+/// the int8-over-f32 brute-force speedup.
 #[derive(Serialize, Deserialize)]
 struct PrecisionReport {
     /// Store size all precision points ran against.
@@ -172,13 +168,6 @@ struct PrecisionReport {
     points: Vec<PrecisionPoint>,
     /// int8 `exact_qps` over f32 `exact_qps`; gated ≥ 1.3 in full mode.
     int8_speedup: f64,
-    /// Microseconds to score one rerank candidate pool from the exact-f32
-    /// sidecar (the shipped design) …
-    rerank_sidecar_us: f64,
-    /// … vs dequantizing the pool's int8 codes on the fly first. The
-    /// sidecar is both faster *and* exact; dequant would only save the
-    /// sidecar's resident memory at the cost of quantized-precision scores.
-    rerank_dequant_us: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -450,53 +439,9 @@ fn measure_precisions(nodes: usize, hnsw_queries: usize, exact_queries: usize) -
     };
     let int8_speedup = exact_qps_of("int8") / exact_qps_of("f32");
 
-    // Sidecar vs dequant-on-the-fly rerank cost: score one candidate pool
-    // (`k · rerank_factor` rows) per iteration, either straight from the
-    // f32 sidecar rows or by reconstructing each row from its int8 codes
-    // first. Exactness already decides the design (sidecar scores are the
-    // true f32 scores; dequantized ones are not) — this records that the
-    // sidecar is not even paying a speed penalty for it.
-    let pool_size = K * rerank_factor;
-    let cand_rows: Vec<usize> = (0..pool_size).map(|i| (i * 977) % nodes).collect();
-    let codes: Vec<(Vec<i8>, f32)> =
-        cand_rows.iter().map(|&r| qkernels::quantize_i8_row(f32_store.row(r))).collect();
-    let q = &qs[0];
-    let iters = 2000usize;
-    let mut acc = 0.0f32;
-    let t = Instant::now();
-    for _ in 0..iters {
-        for &r in &cand_rows {
-            acc += scorer.score(q, f32_store.row(r));
-        }
-    }
-    let rerank_sidecar_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    let mut buf = vec![0.0f32; DIM];
-    let t = Instant::now();
-    for _ in 0..iters {
-        for (row_codes, scale) in &codes {
-            for (b, &c) in buf.iter_mut().zip(row_codes) {
-                *b = c as f32 * *scale;
-            }
-            acc += scorer.score(q, &buf);
-        }
-    }
-    let rerank_dequant_us = t.elapsed().as_secs_f64() * 1e6 / iters as f64;
-    std::hint::black_box(acc);
-    eprintln!(
-        "bench_serve: int8 exact speedup {int8_speedup:.2}x over f32 | rerank pool \
-         {rerank_sidecar_us:.1} us sidecar vs {rerank_dequant_us:.1} us dequant"
-    );
+    eprintln!("bench_serve: int8 exact speedup {int8_speedup:.2}x over f32");
 
-    PrecisionReport {
-        nodes,
-        hnsw_queries,
-        exact_queries,
-        rerank_factor,
-        points,
-        int8_speedup,
-        rerank_sidecar_us,
-        rerank_dequant_us,
-    }
+    PrecisionReport { nodes, hnsw_queries, exact_queries, rerank_factor, points, int8_speedup }
 }
 
 /// Scale knobs for one [`measure`] run: the full bench and the CI smoke
@@ -837,16 +782,16 @@ fn run_smoke() {
         ));
     }
 
-    // Per-precision section: all three precisions at the full sweep size,
-    // every recall at the full floor, shrinking scan footprints, and an
-    // int8 speedup that clears the floor *and* follows from its points.
+    // Per-precision section: both precisions at the full sweep size, every
+    // recall at the full floor, a shrinking scan footprint, and an int8
+    // speedup that clears the floor *and* follows from its points.
     let prec = &committed.precisions;
     if prec.nodes != PRECISION_NODES {
         fail("BENCH_serve.json precisions.nodes does not match the bench constants");
     }
     let names: Vec<&str> = prec.points.iter().map(|p| p.precision.as_str()).collect();
-    if names != ["f32", "f16", "int8"] {
-        fail(&format!("BENCH_serve.json precisions are {names:?}, want [f32, f16, int8]"));
+    if names != ["f32", "int8"] {
+        fail(&format!("BENCH_serve.json precisions are {names:?}, want [f32, int8]"));
     }
     for p in &prec.points {
         let finite =
@@ -864,10 +809,12 @@ fn run_smoke() {
             fail(&format!("BENCH_serve.json {} byte counts are zero", p.precision));
         }
     }
-    if !(prec.points[0].store_bytes > prec.points[1].store_bytes
-        && prec.points[1].store_bytes > prec.points[2].store_bytes)
-    {
-        fail("BENCH_serve.json precision scan footprints must shrink f32 > f16 > int8");
+    let point = |name: &str| {
+        prec.points.iter().find(|p| p.precision == name).expect("precision names checked above")
+    };
+    let (f32_point, int8_point) = (point("f32"), point("int8"));
+    if f32_point.store_bytes <= int8_point.store_bytes {
+        fail("BENCH_serve.json precision scan footprints must shrink f32 > int8");
     }
     if prec.int8_speedup < INT8_SPEEDUP_FLOOR {
         fail(&format!(
@@ -875,15 +822,12 @@ fn run_smoke() {
             prec.int8_speedup
         ));
     }
-    let recomputed = prec.points[2].exact_qps / prec.points[0].exact_qps;
+    let recomputed = int8_point.exact_qps / f32_point.exact_qps;
     if (recomputed - prec.int8_speedup).abs() > 0.1 * prec.int8_speedup {
         fail(&format!(
             "BENCH_serve.json int8_speedup {:.2} inconsistent with points ({recomputed:.2})",
             prec.int8_speedup
         ));
-    }
-    if !(prec.rerank_sidecar_us > 0.0 && prec.rerank_dequant_us > 0.0) {
-        fail("BENCH_serve.json rerank cost comparison is non-positive");
     }
     eprintln!("smoke: BENCH_serve.json valid (recall@{K} {:.4})", committed.recall_at_k);
     println!(

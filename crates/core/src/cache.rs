@@ -17,23 +17,19 @@
 //! ## Memory budget (`CoaneConfig::max_cache_bytes`)
 //!
 //! At million-node scale the materialized CSR can dominate peak RSS. When a
-//! budget is set, [`ContextRowCache::build_budgeted`] walks a fallback
-//! ladder (see DESIGN.md §2.12) and picks the *fastest representation that
-//! fits*:
+//! budget is set, [`ContextRowCache::build_budgeted`] picks one of two
+//! rungs (see DESIGN.md §2.12):
 //!
 //! 1. **Materialized** — the full CSR, when its (conservative) size
 //!    estimate fits the budget. Batch assembly is a row-range `memcpy`.
-//! 2. **Compressed** — rows stored as a delta+varint byte stream
-//!    ([`crate::rowcodec`]), decoded per batch. Typically 3–6× smaller for
-//!    binary-attribute graphs.
-//! 3. **Rebuild** — rows are not stored at all; each batch rebuilds its
+//! 2. **Rebuild** — rows are not stored at all; each batch rebuilds its
 //!    nodes' rows from the (already resident) [`ContextSet`] and attribute
-//!    matrix. O(n) resident overhead, most CPU per batch.
+//!    matrix. O(n) resident overhead; prefetch hides the extra CPU behind
+//!    the training step.
 //!
-//! Every rung produces **bit-identical batches**: all three feed the same
-//! row-construction routine, and the codec round-trips f32 bit patterns
-//! exactly. Equivalence across rungs and thread counts is locked by
-//! `tests/streaming.rs`.
+//! Both rungs produce **bit-identical batches**: they feed the same
+//! row-construction routine. Equivalence across rungs and thread counts is
+//! locked by `tests/streaming.rs`.
 
 use coane_graph::{AttributedGraph, NodeAttributes, NodeId};
 use coane_nn::{Matrix, SparseMatrix};
@@ -43,30 +39,23 @@ use std::sync::Arc;
 
 use crate::batch::ContextBatch;
 use crate::config::EncoderKind;
-use crate::rowcodec;
 
 /// Which rung of the budget ladder a cache landed on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheMode {
     /// Full CSR resident (rung 1; also the unbudgeted default).
     Materialized,
-    /// Delta+varint compressed rows (rung 2).
+    /// Never produced. The delta+varint compressed rung was removed: it was
+    /// not faster per epoch than [`CacheMode::Rebuild`] by more than the
+    /// spread between runs, while holding ~30× its memory (DESIGN.md
+    /// §2.12). The variant stays so exhaustive matches written against the
+    /// three-rung ladder compile.
     Compressed,
-    /// Rows rebuilt per batch from contexts + attributes (rung 3).
+    /// Rows rebuilt per batch from contexts + attributes (rung 2).
     Rebuild,
 }
 
-/// Compressed row storage: one contiguous byte stream, indexed per *node*
-/// (batch assembly always decodes whole nodes, and a node's rows decode
-/// sequentially), so the index costs 8 bytes per node rather than per row.
-#[derive(Clone, Debug)]
-struct CompressedRows {
-    data: Vec<u8>,
-    /// Byte offset of each node's first row (`n + 1` entries).
-    node_offsets: Vec<usize>,
-}
-
-/// Rung-3 source: enough state to rebuild any node's rows on demand. The
+/// Rung-2 source: enough state to rebuild any node's rows on demand. The
 /// context set is shared (`Arc`) with the trainer's `Prepared` state; the
 /// attribute matrix is cloned so `infer_batch` needs no graph borrow.
 #[derive(Clone, Debug)]
@@ -79,12 +68,11 @@ struct RebuildSource {
 #[derive(Clone, Debug)]
 enum RowStore {
     Materialized(SparseMatrix),
-    Compressed(CompressedRows),
     Rebuild(RebuildSource),
 }
 
-/// All context rows of a graph, materialized (or budget-compressed) once
-/// per training run.
+/// All context rows of a graph, materialized once per training run (or,
+/// under a budget, rebuilt per batch).
 #[derive(Clone, Debug)]
 pub struct ContextRowCache {
     store: RowStore,
@@ -100,9 +88,9 @@ pub struct ContextRowCache {
     resident_bytes: usize,
 }
 
-/// Appends every context row of node `v` to a CSR-in-progress. All three
-/// cache rungs and the budgeted builder call this one routine, so their
-/// rows cannot differ by construction.
+/// Appends every context row of node `v` to a CSR-in-progress. Both cache
+/// rungs and the budgeted builder's nnz count call this one routine, so
+/// their rows cannot differ by construction.
 #[allow(clippy::too_many_arguments)] // the CSR triple + scratch are one logical output
 fn append_node_rows(
     attrs: &NodeAttributes,
@@ -200,16 +188,15 @@ impl ContextRowCache {
         }
     }
 
-    /// Budget-aware build: walks the fallback ladder (materialized →
-    /// compressed → rebuild) and returns the fastest representation whose
-    /// resident size fits `max_bytes`. Batches from every rung are
-    /// bit-identical to the unbudgeted cache's.
+    /// Budget-aware build: keeps the materialized CSR when its estimate
+    /// fits `max_bytes`, and otherwise stores no rows and rebuilds each
+    /// batch's rows on demand. Batches from either rung are bit-identical
+    /// to the unbudgeted cache's.
     ///
     /// Sizing is honest-conservative: the materialized estimate uses the
-    /// nnz *upper bound* (duplicate merging only shrinks it), and the
-    /// compressed representation is measured exactly after encoding — so a
-    /// chosen rung's reported [`ContextRowCache::resident_bytes`] never
-    /// understates the allocation it guards.
+    /// nnz *upper bound* (duplicate merging only shrinks it), so a
+    /// materialized cache's reported [`ContextRowCache::resident_bytes`]
+    /// never exceeds the budget that admitted it.
     ///
     /// # Panics
     /// Panics if `max_bytes` is zero (use [`ContextRowCache::build`] for an
@@ -232,12 +219,9 @@ impl ContextRowCache {
             return Self::build(graph, contexts, encoder);
         }
 
-        // Rung 2: encode every row through the delta+varint codec,
-        // streaming node by node (peak transient state is one node's rows).
-        let cols = Self::row_width(contexts, encoder, d);
-        let mut data: Vec<u8> = Vec::new();
-        let mut node_offsets = Vec::with_capacity(n + 1);
-        node_offsets.push(0usize);
+        // Rung 2: store nothing row-shaped; rebuild per batch. One counting
+        // pass through the shared row builder gives the exact nnz (merged
+        // duplicates included) with only one node's rows alive at a time.
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
         let mut nnz = 0usize;
@@ -259,33 +243,22 @@ impl ContextRowCache {
                 &mut values,
                 &mut scratch,
             );
-            for r in 0..indptr.len() - 1 {
-                let (s, e) = (indptr[r], indptr[r + 1]);
-                rowcodec::encode_row(&indices[s..e], &values[s..e], &mut data);
-            }
             nnz += indices.len();
-            node_offsets.push(data.len());
             offsets.push(offsets.last().unwrap() + indptr.len() - 1);
         }
-        let compressed_bytes = data.len() + (node_offsets.len() + offsets.len()) * 8;
-        if compressed_bytes <= max_bytes {
-            return Self {
-                store: RowStore::Compressed(CompressedRows { data, node_offsets }),
-                offsets,
-                attr_dim: d,
-                cols,
-                nnz,
-                resident_bytes: compressed_bytes,
-            };
-        }
-
-        // Rung 3: store nothing row-shaped; rebuild per batch. The context
-        // set is shared with the trainer, so only the attribute clone and
-        // the offsets are newly resident.
+        // The context set is shared with the trainer, so only the attribute
+        // clone and the offsets are newly resident.
         let resident_bytes = offsets.len() * 8 + attrs.nnz() * 8 + (attrs.num_rows() + 1) * 8;
         let source =
             RebuildSource { contexts: Arc::clone(contexts), attrs: attrs.clone(), encoder };
-        Self { store: RowStore::Rebuild(source), offsets, attr_dim: d, cols, nnz, resident_bytes }
+        Self {
+            store: RowStore::Rebuild(source),
+            offsets,
+            attr_dim: d,
+            cols: Self::row_width(contexts, encoder, d),
+            nnz,
+            resident_bytes,
+        }
     }
 
     fn row_width(contexts: &ContextSet, encoder: EncoderKind, d: usize) -> usize {
@@ -320,7 +293,6 @@ impl ContextRowCache {
     pub fn mode(&self) -> CacheMode {
         match self.store {
             RowStore::Materialized(_) => CacheMode::Materialized,
-            RowStore::Compressed(_) => CacheMode::Compressed,
             RowStore::Rebuild(_) => CacheMode::Rebuild,
         }
     }
@@ -365,7 +337,6 @@ impl ContextRowCache {
                 let ranges: Vec<Range<usize>> = nodes.iter().map(|&v| self.row_range(v)).collect();
                 rows.select_row_ranges(&ranges)
             }
-            RowStore::Compressed(cr) => self.decode_nodes(cr, nodes),
             RowStore::Rebuild(src) => self.rebuild_nodes(src, nodes),
         };
         let mut offsets = Vec::with_capacity(nodes.len() + 1);
@@ -381,24 +352,6 @@ impl ContextRowCache {
             offsets: Arc::new(offsets),
             x_target: Matrix::zeros(0, self.attr_dim),
         }
-    }
-
-    /// Decodes the concatenated rows of `nodes` out of the compressed store.
-    fn decode_nodes(&self, cr: &CompressedRows, nodes: &[NodeId]) -> SparseMatrix {
-        let total_rows: usize = nodes.iter().map(|&v| self.row_range(v).len()).sum();
-        let mut indptr = Vec::with_capacity(total_rows + 1);
-        indptr.push(0usize);
-        let mut indices: Vec<u32> = Vec::new();
-        let mut values: Vec<f32> = Vec::new();
-        for &v in nodes {
-            let mut pos = cr.node_offsets[v as usize];
-            for _ in self.row_range(v) {
-                rowcodec::decode_row(&cr.data, &mut pos, &mut indices, &mut values);
-                indptr.push(indices.len());
-            }
-            debug_assert_eq!(pos, cr.node_offsets[v as usize + 1], "row stream misaligned");
-        }
-        SparseMatrix::from_csr(total_rows, self.cols, indptr, indices, values)
     }
 
     /// Rebuilds the concatenated rows of `nodes` from contexts + attributes.
@@ -543,11 +496,11 @@ mod tests {
         let cs = Arc::new(cs);
         for encoder in [EncoderKind::Convolution, EncoderKind::FullyConnected] {
             let unbounded = ContextRowCache::build(&g, &cs, encoder);
-            // Huge budget → materialized; mid budget → compressed; tiny →
-            // rebuild. The fixture's CSR is ~hundreds of bytes.
+            // Huge budget → materialized; one byte short of the CSR, or
+            // tiny → rebuild. The fixture's CSR is ~hundreds of bytes.
             let cases = [
                 (1 << 20, CacheMode::Materialized),
-                (unbounded.resident_bytes() - 1, CacheMode::Compressed),
+                (unbounded.resident_bytes() - 1, CacheMode::Rebuild),
                 (1, CacheMode::Rebuild),
             ];
             for (budget, want_mode) in cases {
@@ -571,17 +524,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn compressed_cache_reports_no_less_than_its_allocation() {
-        let (g, cs) = fixture();
-        let cs = Arc::new(cs);
-        let cache = ContextRowCache::build_budgeted(&g, &cs, EncoderKind::Convolution, 200);
-        if cache.mode() == CacheMode::Compressed {
-            assert!(cache.resident_bytes() <= 200);
-        }
-        // Whatever rung was chosen, resident_bytes is positive and sane.
-        assert!(cache.resident_bytes() > 0);
     }
 }

@@ -184,11 +184,11 @@ pub struct CoaneConfig {
     /// checkpoint config fingerprint.
     pub prefetch_batches: usize,
     /// Memory budget in bytes for the context-row cache. `0` means
-    /// unbounded (always materialize). When set, the cache walks a fallback
-    /// ladder — materialized → delta+varint compressed → per-batch rebuild
-    /// (DESIGN.md §2.12) — picking the fastest representation that fits.
-    /// Every rung yields bit-identical embeddings, so like `threads` this is
-    /// excluded from the checkpoint config fingerprint.
+    /// unbounded (always materialize). When set, the cache keeps the
+    /// materialized rows if their size estimate fits and otherwise rebuilds
+    /// each batch's rows on demand (DESIGN.md §2.12). Both rungs yield
+    /// bit-identical embeddings, so like `threads` this is excluded from
+    /// the checkpoint config fingerprint.
     pub max_cache_bytes: usize,
     /// Walk-block size for streaming context generation: walks are produced
     /// and consumed in blocks of this many walks through a bounded channel

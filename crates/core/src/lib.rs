@@ -42,7 +42,6 @@ pub mod inductive;
 pub mod loss;
 pub mod model;
 pub mod persist;
-pub mod rowcodec;
 pub mod telemetry;
 pub mod trainer;
 

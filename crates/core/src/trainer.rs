@@ -664,7 +664,7 @@ impl Coane {
             self.obs.add("walks/count", walker.num_walks() as u64);
             self.obs.add("walks/steps", contexts.num_positions() as u64);
         }
-        // Shared with the cache's rebuild rung (rung 3) without a second
+        // Shared with the cache's rebuild rung (rung 2) without a second
         // copy, and with the trainer's own uses via deref.
         let contexts = std::sync::Arc::new(contexts);
         let co = {
@@ -702,8 +702,10 @@ impl Coane {
             self.obs.add("cache/resident_bytes", cache.resident_bytes() as u64);
             let mode = match cache.mode() {
                 crate::cache::CacheMode::Materialized => "cache/mode_materialized",
-                crate::cache::CacheMode::Compressed => "cache/mode_compressed",
                 crate::cache::CacheMode::Rebuild => "cache/mode_rebuild",
+                crate::cache::CacheMode::Compressed => {
+                    unreachable!("the context-row cache never builds the Compressed rung")
+                }
             };
             self.obs.add(mode, 1);
         }

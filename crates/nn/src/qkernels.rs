@@ -1,7 +1,6 @@
 //! Quantized distance kernels for the serving layer: int8 (per-row
-//! symmetric scale) and f16 (IEEE 754 binary16) row encodings with fused
-//! scan kernels, multiversioned for AVX2/AVX-512 exactly like the matmuls
-//! in [`crate::matrix`].
+//! symmetric scale) row encoding with a fused scan kernel, multiversioned
+//! for AVX2/AVX-512 exactly like the matmuls in [`crate::matrix`].
 //!
 //! ## Determinism contract
 //!
@@ -9,17 +8,13 @@
 //! dispatch levels** (scalar / AVX2 / AVX-512):
 //!
 //! - Quantization is a pure function of the f32 row: the int8 scale is
-//!   `max_abs/127` and codes round half-away-from-zero via [`f32::round`];
-//!   the f16 encoding is IEEE round-to-nearest-even. No data-dependent tie
-//!   breaking, no RNG.
+//!   `max_abs/127` and codes round half-away-from-zero via [`f32::round`].
+//!   No data-dependent tie breaking, no RNG.
 //! - The int8 dot accumulates in `i32` via widening multiply-add. Integer
 //!   addition is associative, so *any* vectorization the compiler picks
 //!   produces the same value — ISA invariance for free.
-//! - The f16 kernels accumulate through [`QDOT_LANES`] fixed accumulator
-//!   lanes with a fixed reduction order (the same discipline as the
-//!   matmuls' `dot_lanes`), so wider registers change throughput only.
-//! - Score combination ([`combine_i8`], [`combine_f16`]) is a fixed
-//!   sequence of scalar f32 operations.
+//! - Score combination ([`combine_i8`]) is a fixed sequence of scalar f32
+//!   operations.
 //!
 //! The serving store scores every candidate against these kernels and then
 //! re-ranks the survivors with exact f32 scores, so quantization error
@@ -36,8 +31,6 @@ pub enum Precision {
     /// Full-precision f32 rows (the original store format).
     #[default]
     F32,
-    /// IEEE 754 binary16 rows: half the bytes, ~3 decimal digits.
-    F16,
     /// Symmetric per-row int8: a quarter of the bytes plus one f32 scale
     /// (and a reserved zero-point) per row.
     Int8,
@@ -45,13 +38,12 @@ pub enum Precision {
 
 impl Precision {
     /// Every precision, in a fixed order (useful for sweeps and tests).
-    pub const ALL: [Precision; 3] = [Precision::F32, Precision::F16, Precision::Int8];
+    pub const ALL: [Precision; 2] = [Precision::F32, Precision::Int8];
 
     /// Parses the lowercase name used by the CLI and the HTTP API.
     pub fn parse(name: &str) -> Option<Self> {
         match name {
             "f32" => Some(Self::F32),
-            "f16" => Some(Self::F16),
             "int8" | "i8" => Some(Self::Int8),
             _ => None,
         }
@@ -61,18 +53,7 @@ impl Precision {
     pub fn name(self) -> &'static str {
         match self {
             Self::F32 => "f32",
-            Self::F16 => "f16",
             Self::Int8 => "int8",
-        }
-    }
-
-    /// Bytes of scoring-table data per stored element (codes only; the
-    /// int8 per-row scale block is accounted separately).
-    pub fn bytes_per_element(self) -> usize {
-        match self {
-            Self::F32 => 4,
-            Self::F16 => 2,
-            Self::Int8 => 1,
         }
     }
 }
@@ -93,91 +74,6 @@ impl Deserialize for Precision {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// f16 conversion
-// ---------------------------------------------------------------------------
-
-/// Converts an f32 to IEEE 754 binary16 bits with round-to-nearest-even —
-/// a pure function of the input bits (stable Rust has no native f16, so
-/// the conversion is spelled out; it matches hardware `vcvtps2ph` with the
-/// default rounding mode).
-pub fn f32_to_f16_bits(x: f32) -> u16 {
-    let bits = x.to_bits();
-    let sign = ((bits >> 16) & 0x8000) as u16;
-    let exp = ((bits >> 23) & 0xff) as i32;
-    let man = bits & 0x007f_ffff;
-    if exp == 0xff {
-        // Inf stays inf; NaN keeps a payload bit so it stays NaN.
-        return sign | 0x7c00 | if man != 0 { 0x0200 } else { 0 };
-    }
-    let unbiased = exp - 127;
-    if unbiased > 15 {
-        return sign | 0x7c00; // overflow → ±inf
-    }
-    if unbiased >= -14 {
-        // Normal f16: drop 13 mantissa bits with round-to-nearest-even.
-        // A mantissa carry overflows into the exponent, which is exactly
-        // the IEEE behavior (up to and including rounding to infinity).
-        let mant = man >> 13;
-        let rem = man & 0x1fff;
-        let mut h = (sign as u32) | (((unbiased + 15) as u32) << 10) | mant;
-        if rem > 0x1000 || (rem == 0x1000 && (mant & 1) == 1) {
-            h += 1;
-        }
-        return h as u16;
-    }
-    if unbiased < -25 {
-        return sign; // underflows to ±0 even after rounding
-    }
-    // Subnormal f16: shift the 24-bit significand (implicit bit restored)
-    // down to the subnormal position, round-to-nearest-even on the
-    // remainder. `shift` is in 14..=24, so the masks below stay in range.
-    let man = man | 0x0080_0000;
-    let shift = (13 - 14 - unbiased) as u32;
-    let mant = man >> shift;
-    let rem = man & ((1u32 << shift) - 1);
-    let half = 1u32 << (shift - 1);
-    let mut h = (sign as u32) | mant;
-    if rem > half || (rem == half && (mant & 1) == 1) {
-        h += 1;
-    }
-    h as u16
-}
-
-/// Converts IEEE 754 binary16 bits to the exactly-representable f32 —
-/// every f16 value (including subnormals) converts without rounding.
-#[inline]
-pub fn f16_bits_to_f32(h: u16) -> f32 {
-    let sign = ((h as u32) >> 15) << 31;
-    let exp = ((h >> 10) & 0x1f) as u32;
-    let man = (h & 0x03ff) as u32;
-    let bits = if exp == 0x1f {
-        sign | 0x7f80_0000 | (man << 13) // inf / NaN
-    } else if exp == 0 {
-        if man == 0 {
-            sign // ±0
-        } else {
-            // Subnormal: value is man × 2⁻²⁴, exact in f32 (man < 2²⁴).
-            let v = (man as f32) * (1.0 / 16_777_216.0);
-            return if sign != 0 { -v } else { v };
-        }
-    } else {
-        sign | ((exp + 112) << 23) | (man << 13)
-    };
-    f32::from_bits(bits)
-}
-
-/// Encodes a row as f16 codes. Pure per element.
-pub fn quantize_f16_row(row: &[f32]) -> Vec<u16> {
-    row.iter().map(|&x| f32_to_f16_bits(x)).collect()
-}
-
-/// The f32 value a stored f16 code scores as.
-#[inline]
-pub fn dequantize_f16(code: u16) -> f32 {
-    f16_bits_to_f32(code)
 }
 
 // ---------------------------------------------------------------------------
@@ -212,60 +108,6 @@ pub const MAX_QUANT_DIM: usize = 65_536;
 // fused scan kernels
 // ---------------------------------------------------------------------------
 
-/// Accumulator lanes in the f16 kernels; same role (and the same
-/// fixed-order reduction) as the matmuls' `DOT_LANES`.
-const QDOT_LANES: usize = 16;
-
-/// Fixed-lane dot of an f32 query against one f16-coded row: convert,
-/// multiply, accumulate into [`QDOT_LANES`] independent chains, reduce in
-/// lane order, then the sequential tail. Pure per (query, row) pair.
-#[inline(always)]
-fn dot_f16_lanes(q: &[f32], codes: &[u16]) -> f32 {
-    debug_assert_eq!(q.len(), codes.len());
-    let blocks = q.len() / QDOT_LANES;
-    let mut acc = [0.0f32; QDOT_LANES];
-    for c in 0..blocks {
-        let qc = &q[c * QDOT_LANES..(c + 1) * QDOT_LANES];
-        let rc = &codes[c * QDOT_LANES..(c + 1) * QDOT_LANES];
-        for (o, (&x, &h)) in acc.iter_mut().zip(qc.iter().zip(rc)) {
-            *o += x * f16_bits_to_f32(h);
-        }
-    }
-    let mut s = 0.0f32;
-    for &lane in &acc {
-        s += lane;
-    }
-    for t in blocks * QDOT_LANES..q.len() {
-        s += q[t] * f16_bits_to_f32(codes[t]);
-    }
-    s
-}
-
-/// Fixed-lane squared L2 distance of an f32 query to one f16-coded row.
-#[inline(always)]
-fn l2_f16_lanes(q: &[f32], codes: &[u16]) -> f32 {
-    debug_assert_eq!(q.len(), codes.len());
-    let blocks = q.len() / QDOT_LANES;
-    let mut acc = [0.0f32; QDOT_LANES];
-    for c in 0..blocks {
-        let qc = &q[c * QDOT_LANES..(c + 1) * QDOT_LANES];
-        let rc = &codes[c * QDOT_LANES..(c + 1) * QDOT_LANES];
-        for (o, (&x, &h)) in acc.iter_mut().zip(qc.iter().zip(rc)) {
-            let d = x - f16_bits_to_f32(h);
-            *o += d * d;
-        }
-    }
-    let mut s = 0.0f32;
-    for &lane in &acc {
-        s += lane;
-    }
-    for t in blocks * QDOT_LANES..q.len() {
-        let d = q[t] - f16_bits_to_f32(codes[t]);
-        s += d * d;
-    }
-    s
-}
-
 multiversioned! {
 /// Widening-multiply-add int8 scan over one chunk of rows: `out[r]` is the
 /// exact i32 dot of the query codes against row `r` of the chunk. Integer
@@ -283,43 +125,12 @@ fn i8_dot_block / i8_dot_block_inner(codes: &[i8], q: &[i8], dim: usize, out: &m
 }
 }
 
-multiversioned! {
-/// Convert-and-accumulate f16 dot scan over one chunk of rows: `out[r]` is
-/// the [`dot_f16_lanes`] product of the query against row `r`.
-fn f16_dot_block / f16_dot_block_inner(codes: &[u16], q: &[f32], dim: usize, out: &mut [f32]) {
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = dot_f16_lanes(q, &codes[r * dim..(r + 1) * dim]);
-    }
-}
-}
-
-multiversioned! {
-/// f16 squared-L2 scan over one chunk of rows.
-fn f16_l2_block / f16_l2_block_inner(codes: &[u16], q: &[f32], dim: usize, out: &mut [f32]) {
-    for (r, o) in out.iter_mut().enumerate() {
-        *o = l2_f16_lanes(q, &codes[r * dim..(r + 1) * dim]);
-    }
-}
-}
-
 /// Dispatched int8 dot over one contiguous chunk of rows on the calling
 /// thread (no pool) — the per-candidate entry point for graph traversal,
 /// where each call scores a handful of rows at most.
 #[inline]
 pub fn i8_dot_rows(codes: &[i8], q: &[i8], dim: usize, out: &mut [i32]) {
     i8_dot_block(codes, q, dim, out);
-}
-
-/// Dispatched f16 dot over one contiguous chunk of rows (no pool).
-#[inline]
-pub fn f16_dot_rows(codes: &[u16], q: &[f32], dim: usize, out: &mut [f32]) {
-    f16_dot_block(codes, q, dim, out);
-}
-
-/// Dispatched f16 squared-L2 over one contiguous chunk of rows (no pool).
-#[inline]
-pub fn f16_l2_rows(codes: &[u16], q: &[f32], dim: usize, out: &mut [f32]) {
-    f16_l2_block(codes, q, dim, out);
 }
 
 /// Rows per parallel chunk in the scan entry points: big enough to
@@ -338,36 +149,10 @@ pub fn i8_dot_scan(codes: &[i8], q: &[i8], dim: usize, out: &mut [i32]) {
     });
 }
 
-/// Scans every row of an f16 code table against an f32 query: dots for
-/// dot/cosine ranking, or squared L2 distances with `l2 = true`.
-pub fn f16_scan(codes: &[u16], q: &[f32], dim: usize, l2: bool, out: &mut [f32]) {
-    assert_eq!(q.len(), dim, "f16_scan query dimension mismatch");
-    assert_eq!(codes.len(), out.len() * dim, "f16_scan table shape mismatch");
-    pool::parallel_chunks(out, SCAN_CHUNK, |start, slab| {
-        let chunk = &codes[start * dim..(start + slab.len()) * dim];
-        if l2 {
-            f16_l2_block(chunk, q, dim, slab);
-        } else {
-            f16_dot_block(chunk, q, dim, slab);
-        }
-    });
-}
-
 /// Scalar reference for the int8 dot — the exact value every dispatch
 /// level must reproduce (used by the ISA-equality tests).
 pub fn i8_dot_reference(q: &[i8], row: &[i8]) -> i32 {
     q.iter().zip(row).map(|(&a, &b)| (a as i32) * (b as i32)).sum()
-}
-
-/// Scalar reference for the f16 dot: the same fixed-lane algorithm as the
-/// multiversioned kernel, compiled at the baseline ISA only.
-pub fn f16_dot_reference(q: &[f32], codes: &[u16]) -> f32 {
-    dot_f16_lanes(q, codes)
-}
-
-/// Scalar reference for the f16 squared-L2.
-pub fn f16_l2_reference(q: &[f32], codes: &[u16]) -> f32 {
-    l2_f16_lanes(q, codes)
 }
 
 // ---------------------------------------------------------------------------
@@ -403,31 +188,6 @@ pub fn combine_i8(
     }
 }
 
-/// Combines an f16 dot (or squared L2 for Euclidean) with precomputed
-/// per-side norms into a similarity score.
-#[inline]
-pub fn combine_f16(scorer: Scorer, dot_or_l2: f32, qnorm: f32, rnorm: f32) -> f32 {
-    match scorer {
-        Scorer::Dot => dot_or_l2,
-        Scorer::Cosine => dot_or_l2 / (qnorm * rnorm + 1e-12),
-        Scorer::Euclidean => -dot_or_l2,
-    }
-}
-
-/// Strict left-to-right L2 norm of an f16-coded row's dequantized values —
-/// the per-row constant the cosine route divides by. Matches
-/// [`crate::sim::norm`]'s sequential order on the dequantized slice.
-pub fn f16_row_norm(codes: &[u16]) -> f32 {
-    codes
-        .iter()
-        .map(|&h| {
-            let v = f16_bits_to_f32(h);
-            v * v
-        })
-        .sum::<f32>()
-        .sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,56 +210,8 @@ mod tests {
         }
         assert_eq!(Precision::parse("i8"), Some(Precision::Int8));
         assert_eq!(Precision::parse("fp64"), None);
+        assert_eq!(Precision::parse("f16"), None);
         assert_eq!(Precision::default(), Precision::F32);
-    }
-
-    #[test]
-    fn f16_roundtrip_is_exact_for_every_code() {
-        // Every finite f16 value converts to f32 and back to the same bits.
-        for h in 0..=u16::MAX {
-            let x = f16_bits_to_f32(h);
-            if x.is_nan() {
-                assert!(f16_bits_to_f32(f32_to_f16_bits(x)).is_nan());
-                continue;
-            }
-            assert_eq!(f32_to_f16_bits(x), h, "code {h:#06x} (value {x}) did not roundtrip");
-        }
-    }
-
-    #[test]
-    fn f16_conversion_matches_known_values() {
-        assert_eq!(f32_to_f16_bits(0.0), 0x0000);
-        assert_eq!(f32_to_f16_bits(-0.0), 0x8000);
-        assert_eq!(f32_to_f16_bits(1.0), 0x3c00);
-        assert_eq!(f32_to_f16_bits(-2.0), 0xc000);
-        assert_eq!(f32_to_f16_bits(65504.0), 0x7bff); // f16 max
-        assert_eq!(f32_to_f16_bits(65520.0), 0x7c00); // rounds to inf
-        assert_eq!(f32_to_f16_bits(f32::INFINITY), 0x7c00);
-        assert_eq!(f32_to_f16_bits(f32::NEG_INFINITY), 0xfc00);
-        assert_eq!(f32_to_f16_bits(5.960_464_5e-8), 0x0001); // min subnormal
-        assert_eq!(f32_to_f16_bits(1e-10), 0x0000); // underflow
-        assert_eq!(f16_bits_to_f32(0x3555), 0.333_251_95); // ≈ 1/3
-    }
-
-    #[test]
-    fn f16_rounding_is_nearest_even() {
-        // 1 + 2⁻¹¹ sits exactly between 1.0 and the next f16; even wins.
-        let halfway = f32::from_bits(0x3f80_1000);
-        assert_eq!(f32_to_f16_bits(halfway), 0x3c00);
-        // Just above the midpoint rounds up.
-        let above = f32::from_bits(0x3f80_1001);
-        assert_eq!(f32_to_f16_bits(above), 0x3c01);
-        // Odd mantissa at the midpoint rounds up to even.
-        let odd_mid = f32::from_bits(0x3f80_3000); // 1 + 3·2⁻¹²
-        assert_eq!(f32_to_f16_bits(odd_mid), 0x3c02);
-    }
-
-    #[test]
-    fn f16_relative_error_is_bounded() {
-        for (i, &x) in fill(9, 4096).iter().enumerate() {
-            let r = f16_bits_to_f32(f32_to_f16_bits(x));
-            assert!((r - x).abs() <= x.abs() * (1.0 / 2048.0) + 1e-24, "element {i}: {x} → {r}");
-        }
     }
 
     #[test]
@@ -540,53 +252,25 @@ mod tests {
     }
 
     #[test]
-    fn f16_scan_matches_reference_bitwise() {
-        let dim = 40; // exercises both the lane blocks and the tail
-        let n = 600;
-        let rows = fill(5, n * dim);
-        let q = fill(6, dim);
-        let codes: Vec<u16> = rows.iter().map(|&x| f32_to_f16_bits(x)).collect();
-        let mut dots = vec![0.0f32; n];
-        let mut l2s = vec![0.0f32; n];
-        f16_scan(&codes, &q, dim, false, &mut dots);
-        f16_scan(&codes, &q, dim, true, &mut l2s);
-        for r in 0..n {
-            let row = &codes[r * dim..(r + 1) * dim];
-            assert_eq!(dots[r].to_bits(), f16_dot_reference(&q, row).to_bits(), "dot row {r}");
-            assert_eq!(l2s[r].to_bits(), f16_l2_reference(&q, row).to_bits(), "l2 row {r}");
-        }
-    }
-
-    #[test]
     fn scans_are_thread_count_invariant() {
         let dim = 32;
         let n = 1500;
         let rows = fill(11, n * dim);
         let q = fill(12, dim);
-        let codes_f16: Vec<u16> = rows.iter().map(|&x| f32_to_f16_bits(x)).collect();
         let mut codes_i8 = Vec::with_capacity(n * dim);
         for r in 0..n {
             codes_i8.extend(quantize_i8_row(&rows[r * dim..(r + 1) * dim]).0);
         }
         let (qc, _) = quantize_i8_row(&q);
         let default_threads = pool::threads();
-        let mut reference: Option<(Vec<i32>, Vec<f32>)> = None;
+        let mut reference: Option<Vec<i32>> = None;
         for threads in [1usize, 4] {
             pool::set_threads(threads);
             let mut di = vec![0i32; n];
-            let mut df = vec![0.0f32; n];
             i8_dot_scan(&codes_i8, &qc, dim, &mut di);
-            f16_scan(&codes_f16, &q, dim, false, &mut df);
             match &reference {
-                None => reference = Some((di, df)),
-                Some((ri, rf)) => {
-                    assert_eq!(ri, &di, "int8 scan diverged at {threads} threads");
-                    assert_eq!(
-                        rf.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        df.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                        "f16 scan diverged at {threads} threads"
-                    );
-                }
+                None => reference = Some(di),
+                Some(ri) => assert_eq!(ri, &di, "int8 scan diverged at {threads} threads"),
             }
         }
         pool::set_threads(default_threads);
@@ -612,36 +296,10 @@ mod tests {
     }
 
     #[test]
-    fn combine_f16_approximates_f32_scores() {
-        let dim = 64;
-        let a = fill(31, dim);
-        let b = fill(32, dim);
-        let bq = quantize_f16_row(&b);
-        let aq: Vec<f32> = a.iter().map(|&x| f16_bits_to_f32(f32_to_f16_bits(x))).collect();
-        let qn = crate::sim::norm(&aq);
-        let rn = f16_row_norm(&bq);
-        for scorer in Scorer::ALL {
-            let raw = match scorer {
-                Scorer::Euclidean => f16_l2_reference(&aq, &bq),
-                _ => f16_dot_reference(&aq, &bq),
-            };
-            let approx = combine_f16(scorer, raw, qn, rn);
-            let exact = scorer.score(&a, &b);
-            assert!(
-                (approx - exact).abs() <= 0.01 * (1.0 + exact.abs()),
-                "{}: {approx} vs {exact}",
-                scorer.name()
-            );
-        }
-    }
-
-    #[test]
     fn zero_rows_score_zero_under_cosine() {
         let (zc, zs) = quantize_i8_row(&[0.0; 8]);
         let (qc, qs) = quantize_i8_row(&fill(41, 8));
         let d = i8_dot_reference(&qc, &zc);
         assert_eq!(combine_i8(Scorer::Cosine, d, qs, sumsq_i8(&qc), zs, sumsq_i8(&zc)), 0.0);
-        let zf = quantize_f16_row(&[0.0; 8]);
-        assert_eq!(combine_f16(Scorer::Cosine, 0.0, 1.0, f16_row_norm(&zf)), 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-request micro-batching for the HTTP front-end.
 //!
-//! Concurrent `/knn` and `/score_links` requests that land within one
-//! *batch window* are coalesced into a single engine kernel pass
+//! Concurrent `/knn` and `/score_links` requests that queue up while a
+//! round executes are coalesced into a single engine kernel pass
 //! ([`QueryEngine::knn_multi`] / [`QueryEngine::score_links_multi`] — many
 //! one-at-a-time dot products become one blocked matmul), and the per-job
 //! answers are demultiplexed back to the waiting connections.
@@ -10,10 +10,11 @@
 //!
 //! Handler threads never execute queries themselves: they enqueue a
 //! [`Job`] carrying a reply channel and block on it. One dedicated worker
-//! thread drains the queue — when a job arrives it waits up to the window
-//! for stragglers, takes everything queued, groups jobs by identical
-//! parameters (only equal [`KnnParams`] / scorers may share a kernel
-//! pass), executes each group, and replies. A dedicated worker (rather
+//! thread drains the queue — when a job arrives it takes everything
+//! queued at once (no linger: a fixed linger taxes each lone request the
+//! full window, ~3× off serial keep-alive throughput), groups jobs by
+//! identical parameters (only equal [`KnnParams`] / scorers may share a
+//! kernel pass), executes each group, and replies. A dedicated worker (rather
 //! than electing a handler thread as leader) means submission can never
 //! deadlock: every handler may block on its reply channel simultaneously
 //! and the batch still runs.
@@ -22,14 +23,13 @@
 //!
 //! Coalescing must not change response bytes, and by construction it
 //! cannot: the engine's multi-job entry points are bit-identical for any
-//! batch composition (see `engine.rs` module docs), so the only thing the
-//! window size or traffic interleaving can affect is *timing*. The
+//! batch composition (see `engine.rs` module docs), so the only thing
+//! traffic interleaving can affect is *timing*. The
 //! batched-vs-serial test in `tests/keepalive.rs` locks this down.
 
 use std::collections::VecDeque;
 use std::sync::mpsc::SyncSender;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 use coane_error::{CoaneError, CoaneResult};
 use coane_nn::Scorer;
@@ -76,11 +76,9 @@ impl std::fmt::Debug for MicroBatcher {
 }
 
 impl MicroBatcher {
-    /// Starts the worker thread. `window` is how long the worker lingers
-    /// after the first job of a round to let concurrent requests join the
-    /// same kernel pass; `Duration::ZERO` executes each round immediately
-    /// (coalescing then only happens when jobs pile up while a round runs).
-    pub fn start(engine: Arc<QueryEngine>, window: Duration) -> Self {
+    /// Starts the worker thread. Each round executes as soon as a job is
+    /// queued; jobs that pile up while a round runs share the next pass.
+    pub fn start(engine: Arc<QueryEngine>) -> Self {
         let shared = Arc::new(Shared {
             state: Mutex::new(State { jobs: VecDeque::new(), closed: false }),
             arrived: Condvar::new(),
@@ -88,7 +86,7 @@ impl MicroBatcher {
         let worker_shared = Arc::clone(&shared);
         let worker = std::thread::Builder::new()
             .name("coane-batcher".into())
-            .spawn(move || worker_loop(&worker_shared, &engine, window))
+            .spawn(move || worker_loop(&worker_shared, &engine))
             .expect("spawn batcher worker");
         Self { shared, worker: Some(worker) }
     }
@@ -139,7 +137,7 @@ impl Drop for MicroBatcher {
     }
 }
 
-fn worker_loop(shared: &Shared, engine: &QueryEngine, window: Duration) {
+fn worker_loop(shared: &Shared, engine: &QueryEngine) {
     loop {
         let round = {
             let mut state = shared.state.lock().unwrap();
@@ -149,23 +147,6 @@ fn worker_loop(shared: &Shared, engine: &QueryEngine, window: Duration) {
             }
             if state.jobs.is_empty() {
                 return; // closed and drained
-            }
-            // Linger for the batch window so concurrent submitters land in
-            // this round; re-arm the wait after spurious wakeups.
-            if !window.is_zero() && !state.closed {
-                let deadline = Instant::now() + window;
-                loop {
-                    let now = Instant::now();
-                    if now >= deadline || state.closed {
-                        break;
-                    }
-                    let (next, _timeout) =
-                        shared.arrived.wait_timeout(state, deadline - now).unwrap();
-                    state = next;
-                    if state.closed {
-                        break;
-                    }
-                }
             }
             std::mem::take(&mut state.jobs)
         };

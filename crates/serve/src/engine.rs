@@ -501,7 +501,7 @@ impl QueryEngine {
     ) -> CoaneResult<ResolvedJob<'a>> {
         let store = view.store();
         let mut resolved = Vec::with_capacity(queries.len());
-        for q in queries {
+        for (qi, q) in queries.iter().enumerate() {
             match q {
                 KnnTarget::Id(id) => {
                     let row = view.resolve_live(*id).ok_or_else(|| {
@@ -515,6 +515,12 @@ impl QueryEngine {
                             "query vector has dim {} but the store holds dim {}",
                             v.len(),
                             store.dim()
+                        )));
+                    }
+                    if let Some(i) = v.iter().position(|x| !x.is_finite()) {
+                        return Err(CoaneError::config(format!(
+                            "knn query {qi}: vector element {i} is not finite ({})",
+                            v[i]
                         )));
                     }
                     resolved.push((v.as_slice(), None));
@@ -733,6 +739,12 @@ impl QueryEngine {
             if let Some(&bad) = node.attr_indices.iter().find(|&&i| i as usize >= attr_dim) {
                 return Err(CoaneError::config(format!(
                     "unseen node {k}: attribute index {bad} out of range (dim {attr_dim})"
+                )));
+            }
+            if let Some(i) = node.attr_values.iter().position(|x| !x.is_finite()) {
+                return Err(CoaneError::config(format!(
+                    "unseen node {k}: attribute value {i} is not finite ({})",
+                    node.attr_values[i]
                 )));
             }
         }

@@ -612,9 +612,11 @@ impl GenerationManager {
         Ok(stamp)
     }
 
-    /// Rejects a batch that contradicts the current state. Simulated
-    /// sequentially so every *prefix* of the accepted stream keeps at least
-    /// one live row — compaction cuts at arbitrary prefixes.
+    /// Rejects a malformed batch (an upsert vector of the wrong dimension
+    /// or with a non-finite element) or one that contradicts the current
+    /// state, before anything reaches the log. Simulated sequentially so
+    /// every *prefix* of the accepted stream keeps at least one live row —
+    /// compaction cuts at arbitrary prefixes.
     fn validate(view: &GenerationView, ops: &[MutOp]) -> CoaneResult<()> {
         let dim = view.store.dim();
         let mut overlay: HashMap<u64, bool> = HashMap::new();
@@ -626,6 +628,12 @@ impl GenerationManager {
                         return Err(CoaneError::config(format!(
                             "upsert {i} (id {id}): vector has dim {} but the store holds dim {dim}",
                             vector.len()
+                        )));
+                    }
+                    if let Some(j) = vector.iter().position(|x| !x.is_finite()) {
+                        return Err(CoaneError::config(format!(
+                            "upsert {i} (id {id}): vector element {j} is not finite ({})",
+                            vector[j]
                         )));
                     }
                     let was_live = overlay

@@ -104,7 +104,7 @@ fn level_for(seed: u64, row: u64, m: usize) -> u8 {
 /// Distance = negated similarity, so smaller is closer under every scorer.
 /// All graph scoring goes through [`EmbeddingStore::quant_score`]: on an
 /// f32 store that is exactly `-scorer.score(probe, row)` (bit-identical to
-/// the pre-quantization behavior), and on an f16/int8 store it is the
+/// the pre-quantization behavior), and on an int8 store it is the
 /// fused quantized kernel with the same determinism contract.
 #[inline]
 fn dist(store: &EmbeddingStore, scorer: Scorer, probe: &QuantProbe<'_>, row: u32) -> f32 {
@@ -558,7 +558,7 @@ enum ExactImpl {
     },
     /// Quantized store: no side table at all — the brute-force path is a
     /// fused streaming scan of the code table
-    /// ([`EmbeddingStore::quant_scores_block`]), which reads 2–4× fewer
+    /// ([`EmbeddingStore::quant_scores_block`]), which reads ~4× fewer
     /// bytes per row than the f32 matmul and is exactly the
     /// memory-bandwidth reduction quantization buys.
     Quant,
@@ -586,7 +586,7 @@ impl ExactIndex {
 
     /// Batched exact kNN (exact over the store's *scoring table*: full
     /// f32 precision on an f32 store, quantized-score brute force on an
-    /// f16/int8 store, where the engine's rerank stage restores exact f32
+    /// int8 store, where the engine's rerank stage restores exact f32
     /// ordering). Per-query hits sorted by score descending, ties by row
     /// index. On the f32 matmul route, dot and cosine take the fast path
     /// and Euclidean falls back to [`knn_exact_batch`]. The L2 expansion

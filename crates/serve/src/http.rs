@@ -103,15 +103,6 @@ pub struct ServerConfig {
     /// Budget for reading one full request once its first byte arrived;
     /// exceeding it gets `408` and a close (slow-loris guard).
     pub read_deadline: Duration,
-    /// How long the micro-batcher lingers after a request arrives so
-    /// concurrent requests can join the same kernel pass. Zero — the
-    /// default — disables the linger: jobs still coalesce naturally when
-    /// they pile up while a pass executes, and every serial request skips
-    /// the wait entirely (a fixed linger taxes *each* lone request the full
-    /// window, which measured ~3× off keep-alive throughput on one core).
-    /// Set a small window only for bursty open-loop loads where arrivals
-    /// cluster tighter than a kernel pass.
-    pub batch_window: Duration,
 }
 
 impl Default for ServerConfig {
@@ -122,7 +113,6 @@ impl Default for ServerConfig {
             addr_file: None,
             keep_alive_timeout: Duration::from_secs(5),
             read_deadline: Duration::from_secs(10),
-            batch_window: Duration::ZERO,
         }
     }
 }
@@ -161,8 +151,7 @@ impl HttpServer {
     pub fn run(self) -> CoaneResult<()> {
         let stop = Arc::new(AtomicBool::new(false));
         let queue_cap = self.engine.limits().queue_cap.max(1);
-        let batcher =
-            Arc::new(MicroBatcher::start(Arc::clone(&self.engine), self.config.batch_window));
+        let batcher = Arc::new(MicroBatcher::start(Arc::clone(&self.engine)));
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(queue_cap);
         let rx = Arc::new(std::sync::Mutex::new(rx));
         let n_threads = self.config.threads.max(1);
@@ -576,7 +565,7 @@ pub struct HealthResponse {
     pub generation: u64,
     /// Last applied mutation sequence (0 = pristine store).
     pub seq: u64,
-    /// Precision of the scoring table (`f32`, `f16` or `int8`).
+    /// Precision of the scoring table (`f32` or `int8`).
     pub precision: String,
     /// Bytes the ANN scoring path streams per full scan.
     pub store_bytes: usize,

@@ -22,20 +22,24 @@
 //! vectors   num_nodes × dim × f32    (row-major, fixed stride)
 //! ```
 //!
-//! The **version 2** payload carries a quantized scoring table (f16 or
-//! int8) *plus* the exact f32 rows as a sidecar — the sidecar is what the
-//! re-rank stage, WAL fold and ground-truth scoring read, so quantization
-//! error can only affect ANN candidate selection, never final scores:
+//! The **version 2** payload carries an int8 scoring table *plus* the
+//! exact f32 rows as a sidecar — the sidecar is what the re-rank stage,
+//! WAL fold and ground-truth scoring read, so quantization error can only
+//! affect ANN candidate selection, never final scores:
 //!
 //! ```text
-//! num_nodes u64 · dim u64 · precision u8 (1 = f16, 2 = int8)
+//! num_nodes u64 · dim u64 · precision u8 (2 = int8)
 //! meta_len  u64 · meta (UTF-8 JSON, free-form)
 //! ids       num_nodes × u64
-//! qparams   num_nodes × (scale f32 · zero_point f32)   (int8 only; the
-//!           zero point is reserved and must be 0.0 — symmetric range)
-//! codes     num_nodes × dim × (u16 LE | i8)            (f16 | int8)
+//! qparams   num_nodes × (scale f32 · zero_point f32)   (the zero point
+//!           is reserved and must be 0.0 — symmetric range)
+//! codes     num_nodes × dim × i8
 //! vectors   num_nodes × dim × f32                      (exact sidecar)
 //! ```
+//!
+//! Precision byte 1 marked the f16 tables of earlier builds; f16 was
+//! removed because int8 beat it on every measured axis at equal recall, so
+//! such a store is rejected with a message to re-export it.
 //!
 //! f32 stores always write version 1 — byte-identical to every earlier
 //! build — and this build reads both versions. Codes are a pure function
@@ -70,37 +74,35 @@ use coane_nn::Scorer;
 pub const STORE_MAGIC: &[u8; 8] = b"COANESTR";
 /// On-disk store format version for full-precision f32 stores.
 pub const STORE_FORMAT_VERSION: u32 = 1;
-/// On-disk store format version for quantized (f16 / int8) stores.
+/// On-disk store format version for quantized (int8) stores.
 pub const STORE_FORMAT_VERSION_QUANT: u32 = 2;
 /// Header size in bytes (magic + version + payload length + CRC32).
 const HEADER_LEN: usize = 24;
 /// Sanity bound on counts decoded from untrusted files.
 const MAX_DECODE_ITEMS: u64 = 1 << 32;
 
-/// Precision byte in a version-2 payload for f16 codes.
-const PRECISION_BYTE_F16: u8 = 1;
+/// Precision byte of the f16 tables earlier builds wrote; no longer read.
+const PRECISION_BYTE_RETIRED: u8 = 1;
 /// Precision byte in a version-2 payload for int8 codes.
 const PRECISION_BYTE_INT8: u8 = 2;
 
 /// The quantized scoring table riding alongside the exact f32 rows.
 ///
-/// Per-row derived constants (f16 norms, int8 code sums-of-squares) are
-/// *not* serialized — they are recomputed from the codes on load and on
+/// Per-row derived constants (int8 code sums-of-squares) are *not*
+/// serialized — they are recomputed from the codes on load and on
 /// every row mutation, so they can never drift from the codes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum QuantTable {
     /// f32 store: no codes, scoring reads the exact rows directly.
     None,
-    /// f16 codes plus the per-row dequantized L2 norm (cosine route).
-    F16 { codes: Vec<u16>, norms: Vec<f32> },
     /// Symmetric int8 codes plus per-row scale and exact code sum-of-squares.
     Int8 { codes: Vec<i8>, scales: Vec<f32>, sumsqs: Vec<i32> },
 }
 
 /// A read-only embedding table: `num_nodes × dim` f32 vectors plus an
-/// id ↔ row-index map, a free-form metadata string, and (for f16/int8
-/// stores) a quantized scoring table kept in lock-step with the rows.
-#[derive(Debug, Clone)]
+/// id ↔ row-index map, a free-form metadata string, and (for int8 stores)
+/// a quantized scoring table kept in lock-step with the rows.
+#[derive(Debug)]
 pub struct EmbeddingStore {
     dim: usize,
     ids: Vec<u64>,
@@ -108,6 +110,48 @@ pub struct EmbeddingStore {
     vectors: Vec<f32>,
     meta: String,
     quant: QuantTable,
+}
+
+/// Clones `v` with its capacity, not just its length.
+fn clone_with_capacity<T: Copy>(v: &Vec<T>) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.capacity());
+    out.extend_from_slice(v);
+    out
+}
+
+impl Clone for QuantTable {
+    fn clone(&self) -> Self {
+        match self {
+            Self::None => Self::None,
+            Self::Int8 { codes, scales, sumsqs } => Self::Int8 {
+                codes: clone_with_capacity(codes),
+                scales: clone_with_capacity(scales),
+                sumsqs: clone_with_capacity(sumsqs),
+            },
+        }
+    }
+}
+
+/// Every mutation clones the store and appends to the clone
+/// (`generation.rs`), so a clone keeps each table's spare capacity: the
+/// append then fits without a reallocation, and successive clones of a
+/// growing store request the same allocation size instead of one that
+/// creeps up by a row each time. A size that keeps creeping past glibc's
+/// dynamic mmap threshold gets a fresh `mmap` on every clone: on a
+/// 10k×128 int8 store that cost ~600 page faults per upsert, against ~50
+/// with the capacity kept.
+impl Clone for EmbeddingStore {
+    fn clone(&self) -> Self {
+        let Self { dim, ids, index_of, vectors, meta, quant } = self;
+        Self {
+            dim: *dim,
+            ids: clone_with_capacity(ids),
+            index_of: index_of.clone(),
+            vectors: clone_with_capacity(vectors),
+            meta: meta.clone(),
+            quant: quant.clone(),
+        }
+    }
 }
 
 impl EmbeddingStore {
@@ -175,16 +219,6 @@ impl EmbeddingStore {
         let n = self.len();
         self.quant = match precision {
             Precision::F32 => QuantTable::None,
-            Precision::F16 => {
-                let mut codes = Vec::with_capacity(n * self.dim);
-                let mut norms = Vec::with_capacity(n);
-                for r in 0..n {
-                    let row_codes = qkernels::quantize_f16_row(self.row(r));
-                    norms.push(qkernels::f16_row_norm(&row_codes));
-                    codes.extend(row_codes);
-                }
-                QuantTable::F16 { codes, norms }
-            }
             Precision::Int8 => {
                 let mut codes = Vec::with_capacity(n * self.dim);
                 let mut scales = Vec::with_capacity(n);
@@ -254,7 +288,6 @@ impl EmbeddingStore {
     pub fn precision(&self) -> Precision {
         match self.quant {
             QuantTable::None => Precision::F32,
-            QuantTable::F16 { .. } => Precision::F16,
             QuantTable::Int8 { .. } => Precision::Int8,
         }
     }
@@ -267,7 +300,6 @@ impl EmbeddingStore {
         let n = self.len();
         match self.quant {
             QuantTable::None => n * self.dim * 4,
-            QuantTable::F16 { .. } => n * self.dim * 2,
             QuantTable::Int8 { .. } => n * self.dim + n * 8,
         }
     }
@@ -309,18 +341,6 @@ impl EmbeddingStore {
         let dim = self.dim;
         match &mut self.quant {
             QuantTable::None => {}
-            QuantTable::F16 { codes, norms } => {
-                let row_codes =
-                    qkernels::quantize_f16_row(&self.vectors[row * dim..(row + 1) * dim]);
-                let norm = qkernels::f16_row_norm(&row_codes);
-                if append {
-                    codes.extend(row_codes);
-                    norms.push(norm);
-                } else {
-                    codes[row * dim..(row + 1) * dim].copy_from_slice(&row_codes);
-                    norms[row] = norm;
-                }
-            }
             QuantTable::Int8 { codes, scales, sumsqs } => {
                 let (row_codes, scale) =
                     qkernels::quantize_i8_row(&self.vectors[row * dim..(row + 1) * dim]);
@@ -347,7 +367,7 @@ impl EmbeddingStore {
     // `coane_nn::qkernels` with their ISA/thread determinism contract.
 
     /// Prepares a query vector for repeated scoring against this store's
-    /// precision: quantizes it once (f16 round-trip or int8 codes) so the
+    /// precision: quantizes it once (int8 codes) so the
     /// per-candidate cost in a graph traversal is a single fused kernel.
     ///
     /// # Panics
@@ -356,12 +376,6 @@ impl EmbeddingStore {
         assert_eq!(q.len(), self.dim, "probe dimension mismatch");
         match &self.quant {
             QuantTable::None => QuantProbe::F32(Cow::Borrowed(q)),
-            QuantTable::F16 { .. } => {
-                let codes = qkernels::quantize_f16_row(q);
-                let norm = qkernels::f16_row_norm(&codes);
-                let vals = codes.iter().map(|&h| qkernels::dequantize_f16(h)).collect();
-                QuantProbe::F16 { vals: Cow::Owned(vals), norm }
-            }
             QuantTable::Int8 { .. } => {
                 let (codes, scale) = qkernels::quantize_i8_row(q);
                 let sumsq = qkernels::sumsq_i8(&codes);
@@ -377,11 +391,6 @@ impl EmbeddingStore {
     pub(crate) fn probe_for_row(&self, index: usize) -> QuantProbe<'_> {
         match &self.quant {
             QuantTable::None => QuantProbe::F32(Cow::Borrowed(self.row(index))),
-            QuantTable::F16 { codes, norms } => {
-                let row = &codes[index * self.dim..(index + 1) * self.dim];
-                let vals = row.iter().map(|&h| qkernels::dequantize_f16(h)).collect();
-                QuantProbe::F16 { vals: Cow::Owned(vals), norm: norms[index] }
-            }
             QuantTable::Int8 { codes, scales, sumsqs } => QuantProbe::Int8 {
                 codes: Cow::Borrowed(&codes[index * self.dim..(index + 1) * self.dim]),
                 scale: scales[index],
@@ -398,15 +407,6 @@ impl EmbeddingStore {
         let dim = self.dim;
         match (probe, &self.quant) {
             (QuantProbe::F32(q), _) => scorer.score(q, self.row(index)),
-            (QuantProbe::F16 { vals, norm }, QuantTable::F16 { codes, norms }) => {
-                let row = &codes[index * dim..(index + 1) * dim];
-                let mut raw = [0.0f32];
-                match scorer {
-                    Scorer::Euclidean => qkernels::f16_l2_rows(row, vals, dim, &mut raw),
-                    _ => qkernels::f16_dot_rows(row, vals, dim, &mut raw),
-                }
-                qkernels::combine_f16(scorer, raw[0], *norm, norms[index])
-            }
             (
                 QuantProbe::Int8 { codes: q, scale, sumsq },
                 QuantTable::Int8 { codes, scales, sumsqs },
@@ -438,12 +438,6 @@ impl EmbeddingStore {
         assert_eq!(out.len(), self.len(), "quant_scores_block output length mismatch");
         let dim = self.dim;
         match (probe, &self.quant) {
-            (QuantProbe::F16 { vals, norm }, QuantTable::F16 { codes, norms }) => {
-                qkernels::f16_scan(codes, vals, dim, scorer == Scorer::Euclidean, out);
-                for (o, &rn) in out.iter_mut().zip(norms) {
-                    *o = qkernels::combine_f16(scorer, *o, *norm, rn);
-                }
-            }
             (
                 QuantProbe::Int8 { codes: q, scale, sumsq },
                 QuantTable::Int8 { codes, scales, sumsqs },
@@ -484,7 +478,6 @@ impl EmbeddingStore {
         payload.extend_from_slice(&(self.dim as u64).to_le_bytes());
         match &self.quant {
             QuantTable::None => {}
-            QuantTable::F16 { .. } => payload.push(PRECISION_BYTE_F16),
             QuantTable::Int8 { .. } => payload.push(PRECISION_BYTE_INT8),
         }
         payload.extend_from_slice(&(self.meta.len() as u64).to_le_bytes());
@@ -494,11 +487,6 @@ impl EmbeddingStore {
         }
         match &self.quant {
             QuantTable::None => {}
-            QuantTable::F16 { codes, .. } => {
-                for &c in codes {
-                    payload.extend_from_slice(&c.to_le_bytes());
-                }
-            }
             QuantTable::Int8 { codes, scales, .. } => {
                 for &s in scales {
                     payload.extend_from_slice(&s.to_le_bytes());
@@ -569,8 +557,12 @@ impl EmbeddingStore {
         let precision = if version == STORE_FORMAT_VERSION_QUANT {
             let b = cur.take_bytes(1, "precision byte")?[0];
             match b {
-                PRECISION_BYTE_F16 => Precision::F16,
                 PRECISION_BYTE_INT8 => Precision::Int8,
+                PRECISION_BYTE_RETIRED => {
+                    return Err("precision byte 1 marks an f16 store; f16 stores are no longer \
+                                read, re-export the embedding with --precision int8 or f32"
+                        .into())
+                }
                 other => return Err(format!("unknown precision byte {other}")),
             }
         } else {
@@ -602,17 +594,6 @@ impl EmbeddingStore {
         // constants are recomputed from the codes so they cannot drift.
         let quant = match precision {
             Precision::F32 => QuantTable::None,
-            Precision::F16 => {
-                let code_bytes = cur.take_bytes(count as u64 * 2, "f16 code block")?;
-                let codes: Vec<u16> = code_bytes
-                    .chunks_exact(2)
-                    .map(|c| u16::from_le_bytes(c.try_into().unwrap()))
-                    .collect();
-                let norms = (0..n)
-                    .map(|r| qkernels::f16_row_norm(&codes[r * dim..(r + 1) * dim]))
-                    .collect();
-                QuantTable::F16 { codes, norms }
-            }
             Precision::Int8 => {
                 let qparam_bytes = cur.take_bytes(n as u64 * 8, "int8 qparam block")?;
                 let mut scales = Vec::with_capacity(n);
@@ -660,9 +641,6 @@ impl EmbeddingStore {
 pub(crate) enum QuantProbe<'a> {
     /// Full-precision query: scoring is exactly [`Scorer::score`].
     F32(Cow<'a, [f32]>),
-    /// f16 route: the query's f16-rounded values (so a query compares to
-    /// the rows on equal footing) plus their dequantized L2 norm.
-    F16 { vals: Cow<'a, [f32]>, norm: f32 },
     /// int8 route: query codes, scale, and exact code sum-of-squares.
     Int8 { codes: Cow<'a, [i8]>, scale: f32, sumsq: i32 },
 }

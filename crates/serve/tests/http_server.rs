@@ -196,6 +196,17 @@ fn all_routes_end_to_end() {
     assert_eq!(count("serve/links/requests"), 2);
     assert_eq!(count("serve/encode/requests"), 1);
 
+    // A non-finite attribute value (1e39 overflows f32) is a typed 400.
+    let (status, body) = http_request(
+        &addr,
+        "POST",
+        "/encode",
+        r#"{"nodes":[{"attr_indices":[0,3],"attr_values":[1.0,1e39],"edges":[0,1]}]}"#,
+    )
+    .expect("inf encode");
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("unseen node 0: attribute value 1 is not finite"), "body: {body}");
+
     shutdown(&addr, handle);
 }
 
@@ -224,6 +235,14 @@ fn error_paths_map_to_http_statuses() {
     let (status, body) =
         http_request(&addr, "POST", "/knn", r#"{"vectors":[[1.0,2.0]],"k":3}"#).expect("bad dim");
     assert_eq!(status, 400, "body: {body}");
+
+    // A query element that overflows f32 (1e39 → +inf) is named, not ranked.
+    let mut vector = vec!["0.5".to_string(); 16];
+    vector[3] = "1e39".to_string();
+    let knn_inf = format!("{{\"vectors\":[[{}]],\"k\":3,\"exact\":true}}", vector.join(","));
+    let (status, body) = http_request(&addr, "POST", "/knn", &knn_inf).expect("inf query");
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("knn query 0: vector element 3 is not finite"), "body: {body}");
 
     // Scorer mismatch without exact=true.
     let (status, body) =

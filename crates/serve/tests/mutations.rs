@@ -569,6 +569,15 @@ fn http_mutation_routes_roundtrip() {
     let (status, resp) =
         http_request(&addr, "POST", "/delete", "{\"ids\":[424242]}").expect("bad delete");
     assert_eq!(status, 400, "unknown delete: {resp}");
+    // 1e39 overflows f32 to +inf: rejected before the log, so seq stays 2.
+    let mut inf_vec = vec_json.clone();
+    inf_vec[0] = "1e39".to_string();
+    let body_inf = format!("{{\"nodes\":[{{\"id\":9101,\"vector\":[{}]}}]}}", inf_vec.join(","));
+    let (status, resp) = http_request(&addr, "POST", "/upsert", &body_inf).expect("inf upsert");
+    assert_eq!(status, 400, "non-finite upsert: {resp}");
+    assert!(resp.contains("element 0 is not finite"), "non-finite upsert: {resp}");
+    let (_, resp) = http_request(&addr, "GET", "/healthz", "").expect("healthz");
+    assert!(resp.contains("\"seq\":2"), "rejected upsert reached the log: {resp}");
 
     let (status, _) = http_request(&addr, "POST", "/shutdown", "").expect("shutdown");
     assert_eq!(status, 200);

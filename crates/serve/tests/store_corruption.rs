@@ -3,7 +3,7 @@
 //! length lies, bad precision bytes, corrupted quantization parameters)
 //! must surface as a typed `CoaneError::Store` / `Io` — never a panic,
 //! never a silently-wrong store. Covers both the version-1 f32 format and
-//! the version-2 quantized (f16 / int8) format.
+//! the version-2 quantized (int8) format.
 
 use coane_core::checkpoint::crc32;
 use coane_error::CoaneError;
@@ -146,22 +146,21 @@ fn patch_payload(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
 
 #[test]
 fn quantized_roundtrip_preserves_everything() {
-    for precision in [Precision::F16, Precision::Int8] {
-        let store = quantized_store(precision);
-        let path = tmp_path(&format!("quant-roundtrip-{}", precision.name()));
-        store.save(&path).expect("save");
-        let loaded = EmbeddingStore::open(&path).expect("open");
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(loaded.precision(), precision);
-        assert_eq!(loaded.len(), store.len());
-        assert_eq!(loaded.dim(), store.dim());
-        assert_eq!(loaded.meta(), store.meta());
-        assert_eq!(loaded.ids(), store.ids());
-        // The exact f32 sidecar survives quantization bit-for-bit.
-        assert_eq!(loaded.vectors(), store.vectors());
-        assert_eq!(loaded.store_bytes(), store.store_bytes());
-        assert!(loaded.store_bytes() < store.len() * store.dim() * 4);
-    }
+    let precision = Precision::Int8;
+    let store = quantized_store(precision);
+    let path = tmp_path(&format!("quant-roundtrip-{}", precision.name()));
+    store.save(&path).expect("save");
+    let loaded = EmbeddingStore::open(&path).expect("open");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded.precision(), precision);
+    assert_eq!(loaded.len(), store.len());
+    assert_eq!(loaded.dim(), store.dim());
+    assert_eq!(loaded.meta(), store.meta());
+    assert_eq!(loaded.ids(), store.ids());
+    // The exact f32 sidecar survives quantization bit-for-bit.
+    assert_eq!(loaded.vectors(), store.vectors());
+    assert_eq!(loaded.store_bytes(), store.store_bytes());
+    assert!(loaded.store_bytes() < store.len() * store.dim() * 4);
 }
 
 #[test]
@@ -183,32 +182,30 @@ fn old_version_f32_stores_still_load() {
 fn quantized_bit_flips_are_detected_everywhere() {
     // One flipped bit anywhere in a quantized payload — precision byte,
     // qparams, codes or sidecar — fails the CRC gate.
-    for precision in [Precision::F16, Precision::Int8] {
-        let store = quantized_store(precision);
-        let bytes = saved_bytes(&store, &format!("quant-bitflip-{}", precision.name()));
-        for pos in (24..bytes.len()).step_by(97) {
-            let mut dam = bytes.clone();
-            dam[pos] ^= 0x10;
-            assert_rejected(
-                &format!("quant-bitflip-{}-{pos}", precision.name()),
-                &dam,
-                "CRC32 mismatch",
-            );
-        }
+    let precision = Precision::Int8;
+    let store = quantized_store(precision);
+    let bytes = saved_bytes(&store, &format!("quant-bitflip-{}", precision.name()));
+    for pos in (24..bytes.len()).step_by(97) {
+        let mut dam = bytes.clone();
+        dam[pos] ^= 0x10;
+        assert_rejected(
+            &format!("quant-bitflip-{}-{pos}", precision.name()),
+            &dam,
+            "CRC32 mismatch",
+        );
     }
 }
 
 #[test]
 fn quantized_truncation_is_detected_at_any_cut() {
-    for precision in [Precision::F16, Precision::Int8] {
-        let store = quantized_store(precision);
-        let bytes = saved_bytes(&store, &format!("quant-trunc-{}", precision.name()));
-        let name = precision.name();
-        assert_rejected(&format!("quant-trunc-header-{name}"), &bytes[..10], "too short");
-        // Cuts landing mid-row in the code block and mid-sidecar.
-        for cut in [bytes.len() - 3, bytes.len() - 8 * 4 - 1, 24 + 8 + 8 + 1 + 8 + 5] {
-            assert_rejected(&format!("quant-trunc-{name}-{cut}"), &bytes[..cut], "length mismatch");
-        }
+    let precision = Precision::Int8;
+    let store = quantized_store(precision);
+    let bytes = saved_bytes(&store, &format!("quant-trunc-{}", precision.name()));
+    let name = precision.name();
+    assert_rejected(&format!("quant-trunc-header-{name}"), &bytes[..10], "too short");
+    // Cuts landing mid-row in the code block and mid-sidecar.
+    for cut in [bytes.len() - 3, bytes.len() - 8 * 4 - 1, 24 + 8 + 8 + 1 + 8 + 5] {
+        assert_rejected(&format!("quant-trunc-{name}-{cut}"), &bytes[..cut], "length mismatch");
     }
 }
 
@@ -219,6 +216,10 @@ fn unknown_precision_byte_is_rejected() {
     let bytes = saved_bytes(&store, "precision-byte");
     let patched = patch_payload(&bytes, |p| p[16] = 9);
     assert_rejected("precision-byte", &patched, "unknown precision byte 9");
+    // Byte 1 tagged the f16 tables of earlier builds: still a typed error,
+    // with the way forward in the message.
+    let patched = patch_payload(&bytes, |p| p[16] = 1);
+    assert_rejected("precision-byte-1", &patched, "f16 stores are no longer read");
 }
 
 #[test]

@@ -48,8 +48,8 @@
 //! coane-cli query --addr-file server.addr --route knn --body '{"ids":[0],"k":5}'
 //! coane-cli query --addr-file server.addr --route shutdown
 //!
-//! # 5c. quantized serving: pack (or load) the store at f16/int8 precision —
-//! #     the ANN path scans 2–4× fewer bytes and every answer is re-ranked
+//! # 5c. quantized serving: pack (or load) the store at int8 precision —
+//! #     the ANN path scans ~4× fewer bytes and every answer is re-ranked
 //! #     against the exact f32 sidecar (top k·rerank-factor candidates), so
 //! #     final scores are full-precision either way
 //! coane-cli export-store --embedding embedding.csv --out embedding.store \
@@ -93,6 +93,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Duration;
 
 use coane::prelude::*;
 use coane::{baselines::skipgram::SkipGramConfig, eval, graph::io as gio};
@@ -136,8 +137,24 @@ impl Cli {
         self.get(k).ok_or_else(|| CoaneError::config(format!("missing required flag --{k}")))
     }
 
-    fn num<T: std::str::FromStr>(&self, k: &str, default: T) -> T {
-        self.get(k).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// A numeric flag, or `default` when it is absent. A value that does
+    /// not parse is a typed config error naming the flag.
+    fn num<T: std::str::FromStr>(&self, k: &str, default: T) -> Result<T, CoaneError>
+    where
+        T::Err: std::fmt::Display,
+    {
+        match self.get(k) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|e| CoaneError::config(format!("--{k} {v:?}: {e}"))),
+        }
+    }
+
+    /// A duration flag in seconds; negative, non-finite or overflowing
+    /// values are typed config errors rather than a panic.
+    fn secs(&self, k: &str, default: Duration) -> Result<Duration, CoaneError> {
+        let secs = self.num(k, default.as_secs_f64())?;
+        Duration::try_from_secs_f64(secs)
+            .map_err(|e| CoaneError::config(format!("--{k} {secs}: {e}")))
     }
 
     fn flag(&self, k: &str) -> bool {
@@ -165,12 +182,12 @@ impl Log {
 
 /// Builds the observer for a command: enabled iff telemetry has somewhere
 /// to go (`--metrics-json`) or something to drive (`--log-every`).
-fn observer(cli: &Cli) -> Obs {
-    if cli.get("metrics-json").is_some() || cli.num("log-every", 0usize) > 0 {
+fn observer(cli: &Cli) -> Result<Obs, CoaneError> {
+    Ok(if cli.get("metrics-json").is_some() || cli.num("log-every", 0usize)? > 0 {
         Obs::enabled()
     } else {
         Obs::disabled()
-    }
+    })
 }
 
 /// Writes the JSONL telemetry stream to `--metrics-json` (if given) and
@@ -231,7 +248,7 @@ fn print_graph_summary(log: &Log, out: &str, graph: &AttributedGraph) {
 }
 
 fn cmd_generate(cli: &Cli) -> Result<(), CoaneError> {
-    let seed: u64 = cli.num("seed", 42);
+    let seed: u64 = cli.num("seed", 42)?;
     let out = cli.req("out")?;
     let name = cli.req("preset")?;
     // `--preset scale --nodes N` is the parameterized million-node
@@ -240,7 +257,7 @@ fn cmd_generate(cli: &Cli) -> Result<(), CoaneError> {
     let graph = if name.eq_ignore_ascii_case("scale") {
         let cfg = coane::datasets::ScaleConfig {
             seed,
-            ..coane::datasets::ScaleConfig::with_nodes(cli.num("nodes", 100_000usize))
+            ..coane::datasets::ScaleConfig::with_nodes(cli.num("nodes", 100_000usize)?)
         };
         coane::datasets::scale_graph(&cfg).0
     } else {
@@ -249,7 +266,7 @@ fn cmd_generate(cli: &Cli) -> Result<(), CoaneError> {
                 "unknown preset (try: cora, citeseer, pubmed, webkb-cornell, flickr, scale)",
             )
         })?;
-        let scale: f64 = cli.num("scale", 1.0);
+        let scale: f64 = cli.num("scale", 1.0)?;
         preset.generate_scaled(scale, seed).0
     };
     gio::save_json(&graph, Path::new(out))?;
@@ -278,14 +295,14 @@ fn cmd_convert(cli: &Cli) -> Result<(), CoaneError> {
 
 fn cmd_embed(cli: &Cli) -> Result<(), CoaneError> {
     let log = Log::new(cli);
-    let obs = observer(cli);
-    let graph = gio::load_json(Path::new(cli.req("graph")?))?;
+    let obs = observer(cli)?;
     let method = cli.get("method").unwrap_or("coane").to_lowercase();
-    let dim: usize = cli.num("dim", 128);
-    let epochs: usize = cli.num("epochs", 10);
-    let seed: u64 = cli.num("seed", 42);
-    let threads: usize = cli.num("threads", CoaneConfig::default().threads);
-    let log_every: usize = cli.num("log-every", 0);
+    let dim: usize = cli.num("dim", 128)?;
+    let epochs: usize = cli.num("epochs", 10)?;
+    let seed: u64 = cli.num("seed", 42)?;
+    let threads: usize = cli.num("threads", CoaneConfig::default().threads)?;
+    let log_every: usize = cli.num("log-every", 0)?;
+    let graph = gio::load_json(Path::new(cli.req("graph")?))?;
     // Pure performance knob — embeddings are bit-identical for any value.
     coane::nn::pool::set_threads(threads);
     let out = cli.req("out")?;
@@ -301,16 +318,16 @@ fn cmd_embed(cli: &Cli) -> Result<(), CoaneError> {
                 // Memory-scaling knobs (DESIGN.md §2.12). All three are
                 // bit-transparent: any setting reproduces the default
                 // output exactly.
-                max_cache_bytes: cli.num("max-cache-bytes", 0usize),
-                walk_block_size: cli.num("walk-block", 0usize),
-                coocc_block_size: cli.num("coocc-block", 0usize),
+                max_cache_bytes: cli.num("max-cache-bytes", 0usize)?,
+                walk_block_size: cli.num("walk-block", 0usize)?,
+                coocc_block_size: cli.num("coocc-block", 0usize)?,
                 ..Default::default()
             };
             let trainer = Coane::try_new(cfg.clone())?.with_observer(obs.clone());
-            let ck = cli.get("checkpoint-dir").map(|dir| CheckpointConfig {
-                every_epochs: cli.num("checkpoint-every", 1),
-                ..CheckpointConfig::new(dir)
-            });
+            let every_epochs = cli.num("checkpoint-every", 1)?;
+            let ck = cli
+                .get("checkpoint-dir")
+                .map(|dir| CheckpointConfig { every_epochs, ..CheckpointConfig::new(dir) });
             // `--log-every` reads its numbers straight out of the telemetry
             // stream: the trainer has already emitted this epoch's record by
             // the time the callback runs.
@@ -350,8 +367,8 @@ fn cmd_embed(cli: &Cli) -> Result<(), CoaneError> {
             .embed_observed(&graph, &obs),
         "node2vec" => Node2Vec {
             config: SkipGramConfig { dim, seed, ..Default::default() },
-            p: cli.num("p", 1.0f32),
-            q: cli.num("q", 1.0f32),
+            p: cli.num("p", 1.0f32)?,
+            q: cli.num("q", 1.0f32)?,
         }
         .embed_observed(&graph, &obs),
         "line" => Line { dim, seed, ..Default::default() }.embed_observed(&graph, &obs),
@@ -411,7 +428,7 @@ fn epoch_loss_from(obs: &Obs) -> Option<(f64, f64)> {
 
 fn cmd_infer(cli: &Cli) -> Result<(), CoaneError> {
     let log = Log::new(cli);
-    let obs = observer(cli);
+    let obs = observer(cli)?;
     let (model, cfg) = coane::core::load_model(Path::new(cli.req("model")?))?;
     let graph = gio::load_json(Path::new(cli.req("graph")?))?;
     let nodes: Vec<u32> = match cli.get("nodes") {
@@ -452,7 +469,7 @@ fn cmd_evaluate(cli: &Cli) -> Result<(), CoaneError> {
         )));
     }
     let labels = graph.labels().ok_or_else(|| CoaneError::graph("graph has no labels"))?;
-    let seed: u64 = cli.num("seed", 42);
+    let seed: u64 = cli.num("seed", 42)?;
     match cli.req("task")? {
         "cluster" => {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -460,7 +477,7 @@ fn cmd_evaluate(cli: &Cli) -> Result<(), CoaneError> {
             println!("clustering NMI = {score:.4}");
         }
         "classify" => {
-            let ratio: f64 = cli.num("ratio", 0.2);
+            let ratio: f64 = cli.num("ratio", 0.2)?;
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let (train, test) =
                 coane::graph::split::node_label_split(graph.num_nodes(), ratio, &mut rng);
@@ -486,6 +503,7 @@ fn cmd_export_store(cli: &Cli) -> Result<(), CoaneError> {
     let log = Log::new(cli);
     let emb_path = cli.req("embedding")?;
     let out = cli.req("out")?;
+    let precision = parse_precision(cli)?;
     let (embedding, dim) = eval::io::load_embedding_csv(Path::new(emb_path))
         .map_err(|e| CoaneError::io(Path::new(emb_path), e))?;
     let ids = match cli.get("ids") {
@@ -506,8 +524,8 @@ fn cmd_export_store(cli: &Cli) -> Result<(), CoaneError> {
         }
     };
     let meta = cli.get("meta").unwrap_or("").to_string();
-    let store = coane::serve::EmbeddingStore::new(embedding, dim, ids, meta)?
-        .with_precision(parse_precision(cli)?)?;
+    let store =
+        coane::serve::EmbeddingStore::new(embedding, dim, ids, meta)?.with_precision(precision)?;
     store.save(Path::new(out))?;
     log.info(format!(
         "wrote {out}: {} vectors × {dim} ({}, {} scan bytes)",
@@ -518,18 +536,27 @@ fn cmd_export_store(cli: &Cli) -> Result<(), CoaneError> {
     Ok(())
 }
 
-/// The `--precision {f32,f16,int8}` flag (default f32 — byte-identical to
+/// The `--precision {f32,int8}` flag (default f32 — byte-identical to
 /// stores written before quantization existed).
 fn parse_precision(cli: &Cli) -> Result<coane::serve::Precision, CoaneError> {
     let name = cli.get("precision").unwrap_or("f32");
     coane::serve::Precision::parse(name)
-        .ok_or_else(|| CoaneError::config(format!("unknown precision {name:?} (f32, f16, int8)")))
+        .ok_or_else(|| CoaneError::config(format!("unknown precision {name:?} (f32, int8)")))
 }
 
 /// Loads an embedding store, builds the deterministic HNSW index, and
 /// serves kNN / link-scoring / encoding over HTTP until `/shutdown`.
 fn cmd_serve(cli: &Cli) -> Result<(), CoaneError> {
     let log = Log::new(cli);
+    let defaults = coane::serve::ServerConfig::default();
+    let server_config = coane::serve::ServerConfig {
+        addr: cli.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
+        threads: cli.num("http-threads", 4)?,
+        addr_file: cli.get("addr-file").map(std::path::PathBuf::from),
+        // Keep-alive idle timeout and slow-request deadline in seconds.
+        keep_alive_timeout: cli.secs("keep-alive-timeout", defaults.keep_alive_timeout)?,
+        read_deadline: cli.secs("read-deadline", defaults.read_deadline)?,
+    };
     // `--precision` re-encodes the scoring table at load; absent, the
     // store serves at the precision it was exported with. Conversion is
     // lossless in any direction: quantized stores carry the exact f32
@@ -541,19 +568,19 @@ fn cmd_serve(cli: &Cli) -> Result<(), CoaneError> {
     if cli.get("precision").is_some() {
         store = store.with_precision(parse_precision(cli)?)?;
     }
-    let threads: usize = cli.num("threads", CoaneConfig::default().threads);
+    let threads: usize = cli.num("threads", CoaneConfig::default().threads)?;
     coane::nn::pool::set_threads(threads);
     let scorer_name = cli.get("scorer").unwrap_or("cosine");
     let scorer = coane::nn::Scorer::parse(scorer_name)
         .ok_or_else(|| CoaneError::config(format!("unknown scorer {scorer_name:?}")))?;
     let hnsw = coane::serve::HnswConfig {
-        m: cli.num("m", coane::serve::HnswConfig::default().m),
+        m: cli.num("m", coane::serve::HnswConfig::default().m)?,
         ef_construction: cli
-            .num("ef-construction", coane::serve::HnswConfig::default().ef_construction),
-        ef_search: cli.num("ef-search", coane::serve::HnswConfig::default().ef_search),
-        seed: cli.num("hnsw-seed", coane::serve::HnswConfig::default().seed),
+            .num("ef-construction", coane::serve::HnswConfig::default().ef_construction)?,
+        ef_search: cli.num("ef-search", coane::serve::HnswConfig::default().ef_search)?,
+        seed: cli.num("hnsw-seed", coane::serve::HnswConfig::default().seed)?,
         max_generation: cli
-            .num("max-generation", coane::serve::HnswConfig::default().max_generation),
+            .num("max-generation", coane::serve::HnswConfig::default().max_generation)?,
     };
     let inductive = match (cli.get("model"), cli.get("graph")) {
         (Some(model_path), Some(graph_path)) => {
@@ -577,10 +604,10 @@ fn cmd_serve(cli: &Cli) -> Result<(), CoaneError> {
         started.elapsed().as_secs_f64()
     ));
     let limits = coane::serve::EngineLimits {
-        max_batch: cli.num("max-batch", coane::serve::EngineLimits::default().max_batch),
-        queue_cap: cli.num("queue-cap", coane::serve::EngineLimits::default().queue_cap),
+        max_batch: cli.num("max-batch", coane::serve::EngineLimits::default().max_batch)?,
+        queue_cap: cli.num("queue-cap", coane::serve::EngineLimits::default().queue_cap)?,
         rerank_factor: cli
-            .num("rerank-factor", coane::serve::EngineLimits::default().rerank_factor),
+            .num("rerank-factor", coane::serve::EngineLimits::default().rerank_factor)?,
     };
     // /stats reads live telemetry, so the server always observes itself
     // (observation-only: answers are bit-identical either way).
@@ -591,7 +618,7 @@ fn cmd_serve(cli: &Cli) -> Result<(), CoaneError> {
         })?;
         let mutation = coane::serve::MutationConfig {
             dir: std::path::PathBuf::from(data_dir),
-            compact_every: cli.num("compact-every", 64usize),
+            compact_every: cli.num("compact-every", 64usize)?,
         };
         let (engine, report) = coane::serve::QueryEngine::new_mutable(
             store,
@@ -620,24 +647,6 @@ fn cmd_serve(cli: &Cli) -> Result<(), CoaneError> {
             limits,
             obs.clone(),
         )?)
-    };
-    let defaults = coane::serve::ServerConfig::default();
-    let server_config = coane::serve::ServerConfig {
-        addr: cli.get("addr").unwrap_or("127.0.0.1:7878").to_string(),
-        threads: cli.num("http-threads", 4),
-        addr_file: cli.get("addr-file").map(std::path::PathBuf::from),
-        // Keep-alive idle timeout and slow-request deadline in seconds,
-        // micro-batch coalescing window in milliseconds (0 disables the
-        // linger; answers are bit-identical for any window).
-        keep_alive_timeout: std::time::Duration::from_secs_f64(
-            cli.num("keep-alive-timeout", defaults.keep_alive_timeout.as_secs_f64()),
-        ),
-        read_deadline: std::time::Duration::from_secs_f64(
-            cli.num("read-deadline", defaults.read_deadline.as_secs_f64()),
-        ),
-        batch_window: std::time::Duration::from_secs_f64(
-            cli.num("batch-window", defaults.batch_window.as_secs_f64() * 1e3) / 1e3,
-        ),
     };
     let server = coane::serve::HttpServer::bind(engine, server_config)?;
     log.info(format!("listening on {}", server.local_addr()));
@@ -683,8 +692,7 @@ fn cmd_query(cli: &Cli) -> Result<(), CoaneError> {
     let addr = match (cli.get("addr"), cli.get("addr-file")) {
         (Some(addr), _) => addr.to_string(),
         (None, Some(path)) => {
-            let timeout = std::time::Duration::from_secs_f64(cli.num("addr-timeout", 10.0));
-            wait_for_addr_file(path, timeout)?
+            wait_for_addr_file(path, cli.secs("addr-timeout", Duration::from_secs(10))?)?
         }
         (None, None) => return Err(CoaneError::config("need --addr or --addr-file")),
     };
@@ -699,7 +707,7 @@ fn cmd_query(cli: &Cli) -> Result<(), CoaneError> {
         let concurrency: usize = concurrency
             .parse()
             .map_err(|e| CoaneError::config(format!("bad --concurrency: {e}")))?;
-        let repeat: usize = cli.num("repeat", 1);
+        let repeat: usize = cli.num("repeat", 1)?;
         return query_load(&addr, method, &path, body, concurrency.max(1), repeat.max(1));
     }
     let (status, response) = coane::serve::http_request(&addr, method, &path, body)?;

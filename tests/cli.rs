@@ -89,8 +89,51 @@ fn exit_codes_match_the_error_taxonomy() {
     let out = cli().args(["generate", "--preset", "cora"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2), "missing --out should exit 2");
 
-    // 3 = I/O: input file does not exist.
+    // Bad flag values are usage errors too, caught before any file is read:
+    // an unparseable number, a negative duration, a removed precision.
     let missing = dir.join("nope.json");
+    let bad_flags: [(&[&str], &str); 4] = [
+        (
+            &["embed", "--graph", missing.to_str().unwrap(), "--out", "e.csv", "--epochs", "ten"],
+            "--epochs",
+        ),
+        (
+            &["serve", "--store", missing.to_str().unwrap(), "--keep-alive-timeout", "-1"],
+            "--keep-alive-timeout",
+        ),
+        (
+            &[
+                "query",
+                "--addr-file",
+                missing.to_str().unwrap(),
+                "--addr-timeout",
+                "-1",
+                "--route",
+                "healthz",
+            ],
+            "--addr-timeout",
+        ),
+        (
+            &[
+                "export-store",
+                "--embedding",
+                missing.to_str().unwrap(),
+                "--out",
+                "s.store",
+                "--precision",
+                "f16",
+            ],
+            "precision",
+        ),
+    ];
+    for (args, flag) in bad_flags {
+        let out = cli().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} should exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag), "{args:?}: error does not name {flag}: {stderr}");
+    }
+
+    // 3 = I/O: input file does not exist.
     let out = cli()
         .args(["embed", "--graph", missing.to_str().unwrap(), "--method", "coane"])
         .args(["--out", dir.join("e.csv").to_str().unwrap()])
@@ -366,7 +409,7 @@ fn serve_workflow_through_the_binary() {
         .args(["serve", "--store", store.to_str().unwrap()])
         .args(["--model", model.to_str().unwrap(), "--graph", graph.to_str().unwrap()])
         .args(["--addr", "127.0.0.1:0", "--addr-file", addr_file.to_str().unwrap()])
-        .args(["--keep-alive-timeout", "5", "--read-deadline", "10", "--batch-window", "0"])
+        .args(["--keep-alive-timeout", "5", "--read-deadline", "10"])
         .stdout(std::process::Stdio::piped())
         .stderr(std::process::Stdio::piped())
         .spawn()
